@@ -75,6 +75,8 @@ class TestRecord:
     surrogate records to oracle truth in place.
     """
 
+    __test__ = False  # not a pytest test class despite the name
+
     bits: int
     features: np.ndarray
     perf: np.ndarray
@@ -83,6 +85,8 @@ class TestRecord:
 
 class TestStore:
     """The historical test set ``T``, keyed by state bitmap."""
+
+    __test__ = False  # not a pytest test class despite the name
 
     def __init__(self) -> None:
         self._records: dict[int, TestRecord] = {}

@@ -593,6 +593,10 @@ class JobJournal:
         )
         return [s for s in snapshots if id(s) not in dropped]
 
+    def over_budget(self) -> bool:
+        """True once the journal has grown past ``max_segments``."""
+        return len(self.segments()) > self.max_segments
+
     def maybe_compact(self, jobs: Iterable[Job] | None = None) -> bool:
         """Compact iff the journal has grown past ``max_segments``.
 
@@ -600,7 +604,7 @@ class JobJournal:
         folding the directory this returns False instead of queueing a
         redundant second compaction behind it.
         """
-        if len(self.segments()) <= self.max_segments:
+        if not self.over_budget():
             return False
         return self.compact(jobs, blocking=False) >= 0
 

@@ -1321,9 +1321,12 @@ class Scheduler:
         submits, metrics, and every other worker's terminal path — and
         therefore replay-based: the journal's own lock orders the fold
         against concurrent appends, so no transition recorded before it
-        can be lost.
+        can be lost. The segment budget is checked first: it is one
+        directory listing, while ``_peer_active`` scans every job under
+        the scheduler lock, and most calls (every cache-hit submit) find
+        the journal under budget.
         """
-        if self.journal is None:
+        if self.journal is None or not self.journal.over_budget():
             return
         if self._leases_enabled or self._peer_active():
             # Shared-journal mode: a peer process may be appending to the

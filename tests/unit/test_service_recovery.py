@@ -259,6 +259,27 @@ class TestTerminalRestoration:
         )
         assert revived.get(job.id).state == JobState.DONE
 
+    def test_under_budget_cache_hit_skips_the_peer_scan(self, tmp_path, monkeypatch):
+        """A cache-hit submit on an under-budget journal must not pay the
+        O(jobs) ``_peer_active`` scan under the scheduler lock."""
+        cache = ResultCache(tmp_path / "cache")
+        result = {"entries": [], "n_valuated": 1,
+                  "terminated_by": "budget", "elapsed_seconds": 0.1}
+        cache.put(spec("seed"), result, elapsed_seconds=0.1)
+        scheduler = Scheduler(
+            registry=object(),
+            factory=AnythingFactory(),
+            result_cache=cache,
+            journal=JobJournal(tmp_path / "journal"),
+            n_workers=1,
+        )
+        scans = []
+        monkeypatch.setattr(scheduler, "_peer_active", lambda: scans.append(1))
+        for i in range(3):
+            assert scheduler.submit(spec(f"hit{i}")).cache_hit
+        assert not scheduler.journal.over_budget()
+        assert scans == []
+
 
 class TestReplayDedup:
     def test_follower_relationship_survives_replay(self, tmp_path):
