@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from _harness import print_table
+from repro.scenarios.factory import TaskCache
 from repro.service import Scheduler
 from repro.service.pool import PoolConfig
 from repro.service.server import ServiceServer
@@ -102,6 +103,8 @@ class _Resolved:
 class _AnyFactory:
     """Resolves every spec to an instant no-op job; specs named
     ``blocker`` park on ``gate`` (the admission probe's jam)."""
+
+    task_cache = TaskCache()
 
     def __init__(self, gate=None):
         self.gate = gate
@@ -205,7 +208,7 @@ def _mixed_load_phase():
     """The herd against a generously-bounded server; returns metrics."""
     scheduler = Scheduler(
         factory=_AnyFactory(), registry=object(),
-        n_workers=N_SCHED_WORKERS, poll_interval=0.005,
+        n_workers=N_SCHED_WORKERS,
     )
     config = PoolConfig(
         http_workers=16, max_pending=max(256, N_CLIENTS * 2),
@@ -262,7 +265,6 @@ def _admission_probe_phase():
     gate = threading.Event()
     scheduler = Scheduler(
         factory=_AnyFactory(gate), registry=object(), n_workers=1,
-        poll_interval=0.005,
     )
     config = PoolConfig(http_workers=4, admission_queue_depth=1)
     rejected = 0

@@ -9,7 +9,7 @@ job warm-starts from it. This example:
    already-running ``repro serve`` via ``--url``),
 2. submits the same tiny T3 job twice through the HTTP client,
 3. prints each job's oracle accounting and the measured savings,
-4. dumps the service's ``/metrics`` snapshot.
+4. dumps the service's ``/v1/metrics`` snapshot.
 
 Run:  python examples/service_client.py
       python examples/service_client.py --url http://127.0.0.1:8765

@@ -539,7 +539,7 @@ class TabularSearchSpace(SearchSpace):
         Top-level ``hits``/``misses``/``bytes``/``entries``/``evictions``
         aggregate the Table, matrix and mask caches; per-cache breakdowns
         ride along under their own keys (also surfaced by the service's
-        ``GET /metrics`` as the ``materialization`` section).
+        ``GET /v1/metrics`` as the ``materialization`` section).
         """
         tables = self._cache.stats()
         matrices = self._matrix_cache.stats()

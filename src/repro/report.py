@@ -155,7 +155,7 @@ def load_suite_report(directory: str | Path) -> dict:
 def save_job_record(payload: dict, directory: str | Path) -> Path:
     """Persist one service job record (``repro fetch --output``).
 
-    The payload is the API's ``GET /results/{id}`` body: lifecycle fields
+    The payload is the API's ``GET /v1/results/{id}`` body: lifecycle fields
     plus the full result under ``"result"``. Returns the written path.
     """
     directory = Path(directory)

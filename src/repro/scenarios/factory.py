@@ -93,7 +93,7 @@ class TaskCache:
         Sums the hit/miss/byte/eviction counters of every cached task's
         search-space caches (Table, matrix and mask LRUs for tabular
         spaces; the subgraph LRU for graph spaces) — the payload behind
-        the service's ``GET /metrics`` ``materialization`` section. Jobs
+        the service's ``GET /v1/metrics`` ``materialization`` section. Jobs
         run on the process backend valuate in forked children, so their
         counters die with the child; thread/serial backends aggregate
         fully here.

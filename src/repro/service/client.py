@@ -88,52 +88,43 @@ class ServiceClient:
         return delay
 
     # -- transport ---------------------------------------------------------------
-    def _request_full(
+    def _send(
         self,
         method: str,
         path: str,
-        body: Any = None,
+        data: bytes | None = None,
         headers: dict[str, str] | None = None,
-    ) -> tuple[int, dict[str, str], Any]:
-        """One request; returns ``(status, response headers, payload)``.
+    ) -> tuple[int, dict[str, str], bytes]:
+        """One request; returns ``(status, response headers, raw body)``.
 
-        A ``304 Not Modified`` returns ``(304, headers, None)``. Error
-        responses raise the typed :class:`~repro.exceptions.ApiError`
+        The single transport under :meth:`_request_full` and
+        :meth:`_request_text`. A ``304 Not Modified`` returns
+        ``(304, headers, b"")``. ``429``/``503`` answers are retried with
+        :meth:`_backoff_delay`; once the retries are spent, an error
+        response raises the typed :class:`~repro.exceptions.ApiError`
         subclass named by the envelope's ``code`` (plain
-        ``ServiceError`` when the body carries no envelope) — after
-        exhausting the backoff retries for 429/503.
+        ``ServiceError`` when the body carries no envelope).
         """
-        data = None
-        request_headers = {"Accept": "application/json"}
-        if headers:
-            request_headers.update(headers)
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            request_headers["Content-Type"] = "application/json"
         attempt = 0
         while True:
             request = urllib.request.Request(
                 f"{self.url}{path}",
                 data=data,
-                headers=request_headers,
+                headers=headers or {},
                 method=method,
             )
             try:
                 with urllib.request.urlopen(
                     request, timeout=self.timeout
                 ) as response:
-                    raw = response.read()
-                    payload = (
-                        json.loads(raw.decode("utf-8")) if raw else None
-                    )
                     return (
                         response.status,
                         dict(response.headers),
-                        payload,
+                        response.read(),
                     )
             except urllib.error.HTTPError as exc:
                 if exc.code == 304:
-                    return 304, dict(exc.headers), None
+                    return 304, dict(exc.headers), b""
                 if (
                     exc.code in RETRYABLE_STATUSES
                     and attempt < self.retries
@@ -151,6 +142,31 @@ class ServiceClient:
                     f"cannot reach service at {self.url}: {exc.reason}"
                 ) from None
 
+    def _request_full(
+        self,
+        method: str,
+        path: str,
+        body: Any = None,
+        headers: dict[str, str] | None = None,
+    ) -> tuple[int, dict[str, str], Any]:
+        """One JSON request; returns ``(status, response headers, payload)``.
+
+        A ``304 Not Modified`` returns ``(304, headers, None)``; errors
+        and retries are those of :meth:`_send`.
+        """
+        data = None
+        request_headers = {"Accept": "application/json"}
+        if headers:
+            request_headers.update(headers)
+        if body is not None:
+            data = json.dumps(body).encode("utf-8")
+            request_headers["Content-Type"] = "application/json"
+        status, response_headers, raw = self._send(
+            method, path, data, request_headers
+        )
+        payload = json.loads(raw.decode("utf-8")) if raw else None
+        return status, response_headers, payload
+
     @staticmethod
     def _error_from(
         method: str, path: str, exc: urllib.error.HTTPError
@@ -161,12 +177,10 @@ class ServiceClient:
         detail: dict[str, Any] = {}
         try:
             envelope = json.loads(exc.read().decode("utf-8")).get("error")
-            if isinstance(envelope, dict):  # v1 envelope
+            if isinstance(envelope, dict):
                 code = envelope.get("code")
                 message = envelope.get("message", "")
                 detail = envelope.get("detail") or {}
-            elif envelope:  # pre-v1 flat string
-                message = str(envelope)
         except Exception:
             pass
         text = f"{method} {path} failed with HTTP {exc.code}" + (
@@ -190,22 +204,9 @@ class ServiceClient:
         """One request through ``/v1`` returning the raw response body.
 
         Used for non-JSON representations (Prometheus text exposition).
-        Error handling matches :meth:`_request_full`.
+        Errors and retries are those of :meth:`_send`.
         """
-        request = urllib.request.Request(
-            f"{self.url}/v1{path}", method=method
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raise self._error_from(method, path, exc) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.url}: {exc.reason}"
-            ) from None
+        return self._send(method, f"/v1{path}")[2].decode("utf-8")
 
     # -- API ---------------------------------------------------------------------
     def health(self) -> dict[str, Any]:

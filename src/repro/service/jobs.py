@@ -231,13 +231,13 @@ class Job:
 
     # -- views -------------------------------------------------------------------
     def to_payload(self, include_result: bool = False) -> dict[str, Any]:
-        """The JSON form served by ``GET /jobs`` and ``GET /jobs/{id}``."""
+        """The JSON form served by ``GET /v1/jobs`` and ``GET /v1/jobs/{id}``."""
         spec = self.spec
         payload: dict[str, Any] = {
             field_name: getattr(self, field_name)
             for field_name in LIFECYCLE_FIELDS
             # result, trace and progress have dedicated endpoints
-            # (GET /results/{id}, /jobs/{id}/trace, /jobs/{id}/progress);
+            # (GET /v1/results/{id}, /v1/jobs/{id}/trace, /v1/jobs/{id}/progress);
             # keeping progress out also keeps the ETag honest — the job
             # payload only changes when the lifecycle does.
             if field_name not in ("result", "trace", "progress")

@@ -7,7 +7,7 @@ journal that records every job transition *before* the scheduler acts on
 it, and a replay that folds those records back into per-job snapshots on
 startup. The scheduler re-queues whatever was ``QUEUED`` or ``RUNNING``
 at crash time (charging a retry for interrupted runs) and restores
-terminal records so ``GET /jobs`` still answers for work finished before
+terminal records so ``GET /v1/jobs`` still answers for work finished before
 the crash.
 
 Layout: ``<dir>/journal-000001.jsonl``, ``journal-000002.jsonl``, … —
@@ -177,6 +177,10 @@ class JobJournal:
         max_terminal_snapshots: int | None = DEFAULT_MAX_TERMINAL_SNAPSHOTS,
         fsync: bool = True,
     ):
+        self._lock = threading.Lock()
+        self._fh: IO[str] | None = None
+        self._fh_path: Path | None = None
+        self._lock_fh: IO[str] | None = None
         self.directory = Path(directory)
         self.max_segment_bytes = int(max_segment_bytes)
         self.max_segments = int(max_segments)
@@ -189,10 +193,6 @@ class JobJournal:
             raise ServiceError("max_segment_bytes must be >= 1")
         if self.max_segments < 1:
             raise ServiceError("max_segments must be >= 1")
-        self._lock = threading.Lock()
-        self._fh: IO[str] | None = None
-        self._fh_path: Path | None = None
-        self._lock_fh: IO[str] | None = None
         #: epoch of the last committed append (None before the first);
         #: ``/v1/healthz`` reports ``now - last_append_at`` as append lag.
         self.last_append_at: float | None = None
@@ -328,6 +328,13 @@ class JobJournal:
                 except OSError:  # pragma: no cover - close on dead handle
                     pass
                 self._lock_fh = None
+
+    def __del__(self) -> None:
+        # Every append is flushed before it returns, so a journal dropped
+        # without close() — as a crash drops it, and as the crash tests
+        # abandon their schedulers — loses nothing; release its handles
+        # here rather than leave them to the file objects' finalizers.
+        self.close()
 
     def __enter__(self) -> JobJournal:
         return self
@@ -610,7 +617,7 @@ class JobJournal:
 
     # -- introspection -----------------------------------------------------------
     def stats(self) -> dict[str, Any]:
-        """Directory, segment count, and total bytes (for ``/metrics``)."""
+        """Directory, segment count, and total bytes (for ``/v1/metrics``)."""
         segments = self.segments()
         total = 0
         for path in segments:

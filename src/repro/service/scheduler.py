@@ -67,7 +67,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Collection, Mapping
+from typing import Any, Callable, Collection, Mapping
 
 from ..core.estimator import TestStore
 from ..exceptions import (
@@ -388,13 +388,11 @@ class Scheduler:
         backend: str | Backend = "serial",
         n_workers: int = 2,
         max_retries: int = 2,
-        poll_interval: float = 0.2,
         scheduler_id: str | None = None,
         lease_ttl: float = 30.0,
         lease_sweep_interval: float | None = None,
         profile_dir: str | Path | None = None,
         metrics_registry: MetricsRegistry | None = None,
-        event_capacity: int = EventBus.DEFAULT_CAPACITY,
     ):
         if n_workers < 1:
             raise ServiceError("n_workers must be >= 1")
@@ -417,7 +415,6 @@ class Scheduler:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._threads: list[threading.Thread] = []
-        self._poll_interval = float(poll_interval)
         self._started_at = time.time()
         self.profile_dir = Path(profile_dir) if profile_dir else None
         #: Typed metric series (repro.obs). Each series carries its own
@@ -474,7 +471,6 @@ class Scheduler:
         #: With a journal, sequence numbers are reserved through a file in
         #: the journal directory so cursors survive scheduler restarts.
         self.event_bus = EventBus(
-            capacity=event_capacity,
             persist_path=(
                 journal.directory / "events.seq"
                 if journal is not None else None
@@ -494,10 +490,11 @@ class Scheduler:
         )
         #: seconds a lease stays live without renewal; <= 0 disables leases.
         self.lease_ttl = float(lease_ttl)
-        # Leases are opt-in (explicit id): an anonymous scheduler cannot
-        # tell its own pre-crash leases from a live peer's after a
-        # restart, so it must not write any.
-        self._leases_enabled = (
+        #: True when jobs are claimed under journal leases: that needs a
+        #: journal, a TTL, and an explicit id — an anonymous scheduler
+        #: cannot tell its own pre-crash leases from a live peer's after
+        #: a restart, so it must not write any.
+        self.leases_enabled = (
             journal is not None
             and scheduler_id is not None
             and self.lease_ttl > 0
@@ -550,7 +547,7 @@ class Scheduler:
     def _recover(self, journal: JobJournal) -> None:
         """Replay the journal into jobs/queue state, then compact it.
 
-        Terminal snapshots become read-only records (``GET /jobs`` keeps
+        Terminal snapshots become read-only records (``GET /v1/jobs`` keeps
         answering for pre-crash work); ``QUEUED`` snapshots re-enter the
         queue as-is; ``RUNNING`` snapshots were interrupted mid-run, so
         they re-enter the queue with one retry charged — or fail with
@@ -580,8 +577,7 @@ class Scheduler:
                 )
                 continue
             stats["replayed"] += 1
-            self.jobs[job.id] = job
-            self._register_shard_lineage(job)
+            self._track(job)
             if job.terminal:
                 stats["restored_terminal"] += 1
                 continue
@@ -605,26 +601,13 @@ class Scheduler:
                 continue
             interrupted = job.state == JobState.RUNNING
             if interrupted:
-                # Interrupted mid-run: the crash consumed one attempt.
                 # The retried/terminal record is appended *before* the
                 # compaction below, so even a crash during recovery
                 # cannot forget the charge (no infinite retry loop).
-                job.retries += 1
-                self._retries_total.inc()
-                job.started_at = None
-                if job.retries > self.max_retries:
-                    job.state = JobState.FAILED
-                    job.finished_at = time.time()
-                    job.updated_at = job.finished_at
-                    job.failure_reason = "retry-budget"
-                    job.error = (
-                        f"crashed {job.retries} time(s); retry budget of "
-                        f"{self.max_retries} exhausted"
-                    )
+                if not self._charge_crash_retry(job):
                     stats["failed_retry_budget"] += 1
                     journal.record_terminal(job)
                     continue
-                job.state = JobState.QUEUED
                 stats["retried"] += 1
                 journal.record_retried(job)
             if job.shard_index is None:
@@ -657,7 +640,7 @@ class Scheduler:
                 "be reconstructed and would be erased",
                 stats["unrecoverable"],
             )
-        elif self._leases_enabled or stats["remote_leases"]:
+        elif self.leases_enabled or stats["remote_leases"]:
             # Shared-journal mode (or a journal carrying foreign leases):
             # another scheduler process may be appending to — or boot-
             # compacting — these very segments right now. With the
@@ -685,6 +668,30 @@ class Scheduler:
                 stats["replayed"], stats["requeued"], stats["retried"],
                 stats["failed_retry_budget"], stats["restored_terminal"],
             )
+
+    def _charge_crash_retry(self, job: Job) -> bool:
+        """Charge one retry to a job that died ``RUNNING`` with its owner.
+
+        Returns True when the job may run again (it is ``QUEUED`` now).
+        Once the charge exceeds ``max_retries`` the job is ``FAILED``
+        with ``failure_reason="retry-budget"`` instead, and False is
+        returned. The caller journals whichever record results.
+        """
+        job.retries += 1
+        self._retries_total.inc()
+        job.started_at = None
+        if job.retries <= self.max_retries:
+            job.state = JobState.QUEUED
+            return True
+        job.state = JobState.FAILED
+        job.finished_at = time.time()
+        job.updated_at = job.finished_at
+        job.failure_reason = "retry-budget"
+        job.error = (
+            f"crashed {job.retries} time(s); retry budget of "
+            f"{self.max_retries} exhausted"
+        )
+        return False
 
     # -- submissions -------------------------------------------------------------
     def submit(
@@ -773,28 +780,7 @@ class Scheduler:
         )
         fingerprint = spec.fingerprint()
         with self._lock:
-            self.jobs[job.id] = job
-            try:
-                self._journal_submitted(job)
-            except Exception:
-                # Strict WAL: if the submission cannot be made durable it
-                # never happened — unwind the in-memory registration so
-                # no later submission dedups against a phantom job. The
-                # failed append is *indeterminate* (an fsync error can
-                # land after the bytes hit the file), so also try a
-                # compensating cancelled record; if even that fails, the
-                # worst case is one spurious re-run after a restart.
-                del self.jobs[job.id]
-                job.state = JobState.CANCELLED
-                job.finished_at = time.time()
-                try:
-                    self.journal.record_terminal(job)
-                except Exception:
-                    logger.warning(
-                        "job %s: compensating cancellation record also "
-                        "failed; the job may replay once", job.id,
-                    )
-                raise
+            self._register_submission([job])
             self._submitted.inc()
             self._publish_event(JOB_SUBMITTED, job)
             if record is not None:
@@ -802,19 +788,20 @@ class Scheduler:
                 job.cache_hit = True
                 job.result = record["result"]
                 job.oracle_calls = 0
-                job.transition(JobState.DONE)
-                job.trace = _assemble_trace(job, [{
-                    "id": 1,
-                    "parent": None,
-                    "name": "run",
-                    "start": job.started_at,
-                    "end": job.finished_at,
-                    "attrs": {"job_id": job.id, "cache_hit": True},
-                }])
                 self._observe_timing(job)
                 self._cache_hits.inc()
-                self._journal_terminal(job)
-                self._cond.notify_all()
+                self._finish_locked(
+                    job,
+                    JobState.DONE,
+                    trace=lambda hit: _assemble_trace(hit, [{
+                        "id": 1,
+                        "parent": None,
+                        "name": "run",
+                        "start": hit.started_at,
+                        "end": hit.finished_at,
+                        "attrs": {"job_id": hit.id, "cache_hit": True},
+                    }]),
+                )
             else:
                 primary_id = self._inflight.get(fingerprint)
                 primary = self.jobs.get(primary_id) if primary_id else None
@@ -867,10 +854,7 @@ class Scheduler:
             # cancellation is journaled too: the submitter got an error,
             # so a restart must not resurrect and run this job.
             with self._lock:
-                job.transition(JobState.CANCELLED)
-                self._journal_terminal(job)
-                self._on_terminal(job)
-                self._cond.notify_all()
+                self._finish_locked(job, JobState.CANCELLED)
             raise
         return job
 
@@ -893,12 +877,25 @@ class Scheduler:
         )
 
     # -- sharded jobs ------------------------------------------------------------
-    def _register_shard_lineage(self, job: Job) -> None:
-        """Index a shard child under its parent (lock held or boot)."""
+    def _track(self, job: Job) -> None:
+        """Register a replayed or imported job, indexing a shard child
+        under its parent (lock held or boot)."""
+        self.jobs[job.id] = job
         if job.parent_id is not None:
             siblings = self._shard_children.setdefault(job.parent_id, [])
             if job.id not in siblings:
                 siblings.append(job.id)
+
+    def _shard_children_locked(self, parent_id: str) -> list[Job]:
+        """A shard parent's known children, in shard order (lock held)."""
+        return sorted(
+            (
+                self.jobs[cid]
+                for cid in self._shard_children.get(parent_id, ())
+                if cid in self.jobs
+            ),
+            key=lambda c: c.shard_index or 0,
+        )
 
     def _submit_sharded(
         self,
@@ -911,8 +908,7 @@ class Scheduler:
 
         All ``shards + 1`` records are journaled strictly before any
         child is queued — a submission that cannot be made durable as a
-        whole never happened (every already-appended record gets a
-        compensating cancel). Returns the parent job.
+        whole never happened. Returns the parent job.
         """
         parent = Job(
             spec=spec, priority=priority, shards=shards,
@@ -930,31 +926,7 @@ class Scheduler:
             for index in range(shards)
         ]
         with self._lock:
-            self.jobs[parent.id] = parent
-            journaled: list[Job] = []
-            try:
-                self._journal_submitted(parent)
-                journaled.append(parent)
-                for child in children:
-                    self.jobs[child.id] = child
-                    self._journal_submitted(child)
-                    journaled.append(child)
-            except Exception:
-                # Strict WAL, all-or-nothing: unwind the whole family and
-                # append compensating cancels for what did get through.
-                for job in (parent, *children):
-                    self.jobs.pop(job.id, None)
-                for job in journaled:
-                    job.state = JobState.CANCELLED
-                    job.finished_at = time.time()
-                    try:
-                        self.journal.record_terminal(job)
-                    except Exception:
-                        logger.warning(
-                            "job %s: compensating cancellation record also "
-                            "failed; the job may replay once", job.id,
-                        )
-                raise
+            self._register_submission([parent, *children])
             self._submitted.inc()
             self._shard_children[parent.id] = [c.id for c in children]
             self._shards_submitted.inc()
@@ -977,10 +949,7 @@ class Scheduler:
                 closed = True
                 with self._lock:
                     if child.state == JobState.QUEUED:
-                        child.transition(JobState.CANCELLED)
-                        self._journal_terminal(child)
-                        self._release_lease(child)
-                        self._cond.notify_all()
+                        self._finish_locked(child, JobState.CANCELLED)
         if closed:
             # Submission raced a shutdown; whatever children did get in
             # settle the parent (FAILED on the cancelled shards) once
@@ -988,55 +957,6 @@ class Scheduler:
             self._settle_parent(parent.id)
             raise ServiceError("queue is closed; cannot accept jobs")
         return parent
-
-    def _execute_shard(self, job: Job) -> None:
-        """Run one shard child through the backend, then try to settle."""
-        with self._lock:
-            if job.state != JobState.QUEUED:
-                return  # cancelled between pop and execution
-            job.transition(JobState.RUNNING)
-            self._journal_started(job)
-        start = time.perf_counter()
-        try:
-            resolved = self.factory.resolve(job.spec)
-            outcome = self._run_with_progress(
-                job,
-                lambda wfd: ShardRun(
-                    resolved,
-                    job.shards,
-                    job.shard_index,
-                    job_id=job.id,
-                    profile_path=self._profile_path(job),
-                    progress_fd=wfd,
-                ),
-            )
-            spans = outcome.pop("spans", None)
-            self._spans_dropped.inc(int(outcome.pop("spans_dropped", 0) or 0))
-            with self._lock:
-                job.result = outcome
-                job.run_seconds = time.perf_counter() - start
-                job.trace = _assemble_trace(job, spans)
-                self._stamp_profile(job)
-                job.transition(JobState.DONE)
-                self._observe_timing(job)
-                self._journal_terminal(job)
-                self._release_lease(job)
-                self._cond.notify_all()
-        except Exception as exc:  # noqa: BLE001 — per-shard isolation
-            logger.warning(
-                "shard %s/%s of job %s failed: %s",
-                job.shard_index, job.shards, job.parent_id, exc,
-            )
-            with self._lock:
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.failure_reason = "error"
-                job.run_seconds = time.perf_counter() - start
-                job.transition(JobState.FAILED)
-                self._journal_terminal(job)
-                self._release_lease(job)
-                self._cond.notify_all()
-        self._settle_parent(job.parent_id)
-        self._maybe_compact_journal()
 
     def _settle_parent(self, parent_id: str | None) -> None:
         """Merge (or fail) a parent once every shard child is terminal.
@@ -1052,18 +972,13 @@ class Scheduler:
             parent = self.jobs.get(parent_id)
             if parent is None or parent.terminal:
                 return
-            child_ids = self._shard_children.get(parent_id, [])
-            children = [
-                self.jobs[cid] for cid in child_ids if cid in self.jobs
-            ]
-            expected = parent.shards or 0
-            if len(children) < expected or not all(
+            children = self._shard_children_locked(parent_id)
+            if len(children) < (parent.shards or 0) or not all(
                 c.terminal for c in children
             ):
                 return
             if parent.state != JobState.QUEUED:
                 return  # another worker (or scheduler) is already merging
-            children.sort(key=lambda c: c.shard_index or 0)
             failed = [c for c in children if c.state != JobState.DONE]
             parent.transition(JobState.RUNNING)
             self._journal_started(parent)
@@ -1078,11 +993,7 @@ class Scheduler:
                     f"finish: {sample}"
                 )
                 parent.failure_reason = "shard"
-                parent.transition(JobState.FAILED)
-                self._journal_terminal(parent)
-                self._release_lease(parent)
-                self._on_terminal(parent)
-                self._cond.notify_all()
+                self._finish_locked(parent, JobState.FAILED)
                 return
             merge_input = [dict(c.result or {}) for c in children]
             child_meta = [
@@ -1091,45 +1002,36 @@ class Scheduler:
             ]
         merge_started_at = time.time()
         start = time.perf_counter()
+        error = None
         try:
             resolved = self.factory.resolve(parent.spec)
             payload = merge_shard_results(resolved, merge_input)
         except Exception as exc:  # noqa: BLE001 — isolate the merge too
             logger.warning("merge for job %s failed: %s", parent_id, exc)
-            with self._lock:
-                if parent.state != JobState.RUNNING:
-                    return
-                parent.error = f"{type(exc).__name__}: {exc}"
-                parent.failure_reason = "error"
-                parent.run_seconds = time.perf_counter() - start
-                parent.transition(JobState.FAILED)
-                self._journal_terminal(parent)
-                self._release_lease(parent)
-                self._on_terminal(parent)
-                self._cond.notify_all()
-            return
+            error = f"{type(exc).__name__}: {exc}"
         merge_finished_at = time.time()
         with self._lock:
             if parent.state != JobState.RUNNING:
                 return  # raced by a peer's terminal import
-            parent.result = payload
             parent.run_seconds = time.perf_counter() - start
-            parent.trace = _parent_trace(
-                parent, child_meta, merge_started_at, merge_finished_at
-            )
-            parent.transition(JobState.DONE)
-            self._observe_timing(parent)
-            self._journal_terminal(parent)
-            self._release_lease(parent)
-            self._shards_merged.inc()
-            self._on_terminal(parent)
-            self._cond.notify_all()
+            if error is not None:
+                parent.error = error
+                parent.failure_reason = "error"
+                self._finish_locked(parent, JobState.FAILED)
+            else:
+                parent.result = payload
+                parent.trace = _parent_trace(
+                    parent, child_meta, merge_started_at, merge_finished_at
+                )
+                self._observe_timing(parent)
+                self._shards_merged.inc()
+                self._finish_locked(parent, JobState.DONE)
         self._maybe_compact_journal()
 
     # -- journal hooks (lock held) -----------------------------------------------
     # Appends (one fsync'd line, single-digit ms) deliberately stay under
     # the scheduler lock: the WAL record must be durable before anyone
-    # can observe the transition (wait()/GET /jobs answer under the same
+    # can observe the transition (wait()/GET /v1/jobs answer under the same
     # lock), and jobs run for seconds-to-minutes, so the sync cost is
     # noise. Only compaction — an O(retained jobs) rewrite — runs outside
     # it; an append can briefly queue behind one on the journal's own
@@ -1139,6 +1041,60 @@ class Scheduler:
         submission durability cannot honor, so the error propagates."""
         if self.journal is not None:
             self.journal.record_submitted(job)
+
+    def _register_submission(self, jobs: list[Job]) -> None:
+        """Register and journal one submission's records, all or none.
+
+        Strict WAL: a submission that cannot be made durable never
+        happened — the in-memory registration is unwound so no later
+        submission dedups against a phantom job. A failed append is
+        *indeterminate* (an fsync error can land after the bytes hit the
+        file), so every record that may have got through gets a
+        compensating cancelled record; if even that fails, the worst case
+        is one spurious re-run after a restart.
+        """
+        attempted: list[Job] = []
+        try:
+            for job in jobs:
+                self.jobs[job.id] = job
+                attempted.append(job)
+                self._journal_submitted(job)
+        except Exception:
+            for job in jobs:
+                self.jobs.pop(job.id, None)
+            for job in attempted:
+                job.state = JobState.CANCELLED
+                job.finished_at = time.time()
+                try:
+                    self.journal.record_terminal(job)
+                except Exception:
+                    logger.warning(
+                        "job %s: compensating cancellation record also "
+                        "failed; the job may replay once", job.id,
+                    )
+            raise
+
+    def _finish_locked(
+        self,
+        job: Job,
+        state: str,
+        trace: Callable[[Job], list[dict[str, Any]]] | None = None,
+    ) -> None:
+        """Move ``job`` to the terminal ``state`` and run every terminal
+        hook: WAL record and event, lease release, dedup bookkeeping, and
+        a wake-up for waiters. Every terminal transition goes through
+        here, with the scheduler lock held.
+
+        ``trace`` builds the persisted trace after the transition, for
+        spans that close at ``finished_at``.
+        """
+        job.transition(state)
+        if trace is not None:
+            job.trace = trace(job)
+        self._journal_terminal(job)
+        self._release_lease(job)
+        self._on_terminal(job)
+        self._cond.notify_all()
 
     def _journal_started(self, job: Job) -> None:
         if self.journal is not None:
@@ -1208,8 +1164,7 @@ class Scheduler:
         job_ids: Collection[str] | None = None
         if job_id is not None:
             with self._lock:
-                if job_id not in self.jobs:
-                    raise UnknownJobError(f"unknown job id {job_id!r}")
+                self._job_locked(job_id)
                 job_ids = {job_id, *self._shard_children.get(job_id, [])}
         if timeout > 0:
             events, next_cursor, dropped = self.event_bus.wait(
@@ -1287,7 +1242,8 @@ class Scheduler:
             )
 
     def _run_with_progress(self, job: Job, make_thunk, timeout=None):
-        """Run a backend thunk with a live progress pipe attached.
+        """Run a backend thunk with a live progress pipe attached; returns
+        the run's outcome and, split off it, the spans it collected.
 
         Opens one ``os.pipe()`` per run: the write end goes into the
         thunk (inherited through the process backend's fork; shared
@@ -1305,13 +1261,15 @@ class Scheduler:
         )
         drain.start()
         try:
-            return self.backend.run_one(make_thunk(wfd), timeout=timeout)
+            outcome = self.backend.run_one(make_thunk(wfd), timeout=timeout)
         finally:
             try:
                 os.close(wfd)
             except OSError:  # pragma: no cover - double close cannot happen
                 pass
             drain.join(timeout=5.0)
+        self._spans_dropped.inc(int(outcome.pop("spans_dropped", 0) or 0))
+        return outcome, outcome.pop("spans", None)
 
     def _maybe_compact_journal(self) -> None:
         """Fold the journal once it outgrows its segment budget.
@@ -1328,7 +1286,7 @@ class Scheduler:
         """
         if self.journal is None or not self.journal.over_budget():
             return
-        if self._leases_enabled or self._peer_active():
+        if self.leases_enabled or self._peer_active():
             # Shared-journal mode: a peer process may be appending to the
             # same WAL. The fold below is replay-based (jobs=None), so
             # peer records are preserved, and the journal's cross-process
@@ -1347,10 +1305,6 @@ class Scheduler:
             logger.warning("journal compaction failed", exc_info=True)
 
     # -- journal leases ----------------------------------------------------------
-    def _lease_active(self) -> bool:
-        """Leases exist only with a journal, an explicit id, and a TTL."""
-        return self._leases_enabled
-
     def _lease_live(self, job: Job, now: float) -> bool:
         """True while ``job``'s lease has an owner and has not expired."""
         return (
@@ -1365,7 +1319,7 @@ class Scheduler:
         Best-effort: a lease record that cannot be appended only widens
         the adoption window for peers — it never blocks the work itself.
         """
-        if not self._lease_active():
+        if not self.leases_enabled:
             return
         try:
             self.journal.record_lease(
@@ -1381,7 +1335,7 @@ class Scheduler:
 
     def _release_lease(self, job: Job) -> None:
         """Drop this scheduler's lease at terminal time (lock held)."""
-        if not self._lease_active() or job.lease_owner != self.scheduler_id:
+        if not self.leases_enabled or job.lease_owner != self.scheduler_id:
             return
         try:
             self.journal.record_lease(job.id, "released", self.scheduler_id)
@@ -1418,25 +1372,12 @@ class Scheduler:
         ``QUEUED`` orphans are simply re-queued under our lease. Parents
         are never queued — adopting one just claims the merge.
         """
+        self._track(job)
         if job.state == JobState.RUNNING and not job.is_shard_parent:
-            job.retries += 1
-            self._retries_total.inc()
-            job.started_at = None
-            if job.retries > self.max_retries:
-                job.state = JobState.FAILED
-                job.finished_at = time.time()
-                job.updated_at = job.finished_at
-                job.failure_reason = "retry-budget"
-                job.error = (
-                    f"crashed {job.retries} time(s); retry budget of "
-                    f"{self.max_retries} exhausted"
-                )
-                self.jobs[job.id] = job
-                self._register_shard_lineage(job)
+            if not self._charge_crash_retry(job):
                 self._journal_terminal(job)
                 self._cond.notify_all()
                 return
-            job.state = JobState.QUEUED
             try:
                 self.journal.record_retried(job)
             except Exception:
@@ -1449,8 +1390,6 @@ class Scheduler:
             # function of the children's results, so just re-elect.
             job.state = JobState.QUEUED
             job.started_at = None
-        self.jobs[job.id] = job
-        self._register_shard_lineage(job)
         self._acquire_lease(job)
         stats["adopted"] += 1
         self._lease_events.inc(event="adopted")
@@ -1475,7 +1414,7 @@ class Scheduler:
         ``expired``).
         """
         stats = {"renewed": 0, "imported": 0, "adopted": 0, "expired": 0}
-        if not self._lease_active():
+        if not self.leases_enabled:
             return stats
         with self._lock:
             for job in self.jobs.values():
@@ -1507,8 +1446,7 @@ class Scheduler:
                 if job.terminal:
                     # A peer finished it: import the outcome wholesale so
                     # lookups/waits here see the result too.
-                    self.jobs[job_id] = job
-                    self._register_shard_lineage(job)
+                    self._track(job)
                     stats["imported"] += 1
                     self._lease_events.inc(event="imported")
                     self._cond.notify_all()
@@ -1518,8 +1456,7 @@ class Scheduler:
                     and self._lease_live(job, now)
                 ):
                     # Still under a live foreign lease: track read-only.
-                    self.jobs[job_id] = job
-                    self._register_shard_lineage(job)
+                    self._track(job)
                     if known is None:
                         stats["imported"] += 1
                         self._lease_events.inc(event="imported")
@@ -1575,8 +1512,7 @@ class Scheduler:
                 follower.result = job.result
                 follower.oracle_calls = 0
                 follower.run_seconds = 0.0
-                follower.transition(JobState.DONE)
-                self._journal_terminal(follower)
+                self._finish_locked(follower, JobState.DONE)
             return
         promoted, rest = waiting[0], waiting[1:]
         if fingerprint is not None:
@@ -1598,19 +1534,20 @@ class Scheduler:
             self._fingerprints.pop(promoted.id, None)
             self._followers.pop(promoted.id, None)
             for follower in waiting:
-                follower.transition(JobState.CANCELLED)
-                self._journal_terminal(follower)
+                self._finish_locked(follower, JobState.CANCELLED)
 
     # -- lookups -----------------------------------------------------------------
+    def _job_locked(self, job_id: str) -> Job:
+        """One job by id (lock held); unknown ids raise ``UnknownJobError``."""
+        job = self.jobs.get(job_id)
+        if job is None:
+            raise UnknownJobError(f"unknown job id {job_id!r}")
+        return job
+
     def get(self, job_id: str) -> Job:
         """Look one job up by id; unknown ids raise ``UnknownJobError``."""
         with self._lock:
-            try:
-                return self.jobs[job_id]
-            except KeyError:
-                raise UnknownJobError(
-                    f"unknown job id {job_id!r}"
-                ) from None
+            return self._job_locked(job_id)
 
     def describe(self, job_id: str, include_result: bool = False) -> dict:
         """One job's API payload, with shard lineage for parents.
@@ -1620,26 +1557,16 @@ class Scheduler:
         shows scatter progress without N extra lookups.
         """
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(f"unknown job id {job_id!r}")
+            job = self._job_locked(job_id)
             payload = job.to_payload(include_result=include_result)
             if job.is_shard_parent:
-                children = sorted(
-                    (
-                        self.jobs[cid]
-                        for cid in self._shard_children.get(job_id, [])
-                        if cid in self.jobs
-                    ),
-                    key=lambda c: c.shard_index or 0,
-                )
                 payload["shard_jobs"] = [
                     {
                         "id": c.id,
                         "shard_index": c.shard_index,
                         "state": c.state,
                     }
-                    for c in children
+                    for c in self._shard_children_locked(job_id)
                 ]
         return payload
 
@@ -1657,9 +1584,7 @@ class Scheduler:
         the parent.
         """
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(f"unknown job id {job_id!r}")
+            job = self._job_locked(job_id)
             if job.shard_index is not None:
                 raise NotCancellableError(
                     f"job {job_id} is shard {job.shard_index} of "
@@ -1672,18 +1597,11 @@ class Scheduler:
                     "be cancelled",
                     detail={"state": job.state},
                 )
-            job.transition(JobState.CANCELLED)
-            self._journal_terminal(job)
-            self._release_lease(job)
+            self._finish_locked(job, JobState.CANCELLED)
             if job.is_shard_parent:
-                for cid in self._shard_children.get(job.id, []):
-                    child = self.jobs.get(cid)
-                    if child is not None and child.state == JobState.QUEUED:
-                        child.transition(JobState.CANCELLED)
-                        self._journal_terminal(child)
-                        self._release_lease(child)
-            self._on_terminal(job)
-            self._cond.notify_all()
+                for child in self._shard_children_locked(job.id):
+                    if child.state == JobState.QUEUED:
+                        self._finish_locked(child, JobState.CANCELLED)
         self._maybe_compact_journal()
         return job
 
@@ -1700,7 +1618,7 @@ class Scheduler:
             )
             thread.start()
             self._threads.append(thread)
-        if self._lease_active() and self._sweep_thread is None:
+        if self.leases_enabled and self._sweep_thread is None:
             self._sweep_stop.clear()
             self._sweep_thread = threading.Thread(
                 target=self._sweep_loop,
@@ -1729,11 +1647,9 @@ class Scheduler:
             self._sweep_thread = None
         if not drain and self.journal is None:
             with self._lock:
-                for job in self.jobs.values():
+                for job in list(self.jobs.values()):
                     if job.state == JobState.QUEUED:
-                        job.transition(JobState.CANCELLED)
-                        self._on_terminal(job)
-                self._cond.notify_all()
+                        self._finish_locked(job, JobState.CANCELLED)
         # Journal-aware non-drain stop must halt the queue outright
         # (drain=False): the jobs left QUEUED would otherwise still be
         # served to workers, running the whole backlog during shutdown.
@@ -1754,46 +1670,28 @@ class Scheduler:
     # -- waiting -----------------------------------------------------------------
     def wait(self, job_id: str, timeout: float | None = None) -> Job:
         """Block until a job reaches a terminal state; returns the job."""
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while True:
-                job = self.jobs.get(job_id)
-                if job is None:
-                    raise UnknownJobError(f"unknown job id {job_id!r}")
-                if job.terminal:
-                    return job
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(remaining):
-                        raise ServiceError(
-                            f"timed out waiting for job {job_id} "
-                            f"(still {job.state})"
-                        )
+            if not self._cond.wait_for(
+                lambda: self._job_locked(job_id).terminal, timeout
+            ):
+                raise ServiceError(
+                    f"timed out waiting for job {job_id} "
+                    f"(still {self.jobs[job_id].state})"
+                )
+            return self.jobs[job_id]
 
     def wait_idle(self, timeout: float | None = None) -> bool:
         """Block until no job is queued or running; False on timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while True:
-                if all(job.terminal for job in self.jobs.values()):
-                    return True
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(remaining):
-                        return False
+            return self._cond.wait_for(
+                lambda: all(job.terminal for job in self.jobs.values()),
+                timeout,
+            )
 
     # -- execution ---------------------------------------------------------------
     def _worker(self) -> None:
-        while True:
-            job = self.queue.pop(timeout=self._poll_interval)
-            if job is None:
-                if self.queue.closed:
-                    return
-                continue
+        # pop() blocks until a push or close wakes it; None means closed.
+        while (job := self.queue.pop()) is not None:
             try:
                 # Correlation context for every log line this job emits,
                 # from any subsystem on this thread (see logging_util).
@@ -1807,181 +1705,177 @@ class Scheduler:
                 logger.exception("worker crashed executing job %s", job.id)
 
     def _execute(self, job: Job) -> None:
-        if job.shard_index is not None:
-            self._execute_shard(job)
-            return
+        """Run one popped job — ordinary or shard child — and settle it.
+
+        The one execution shell: mark ``RUNNING``, run on the backend
+        under the progress pipe, then stamp run time, trace and profile
+        and finish ``DONE`` or ``FAILED``. A failure anywhere in the run
+        is isolated to this job.
+        """
         with self._lock:
             if job.state != JobState.QUEUED:
                 return  # cancelled between pop and execution
             job.transition(JobState.RUNNING)
             self._journal_started(job)
-        spec = job.spec
         start = time.perf_counter()
-        warm = False
-        warm_records = 0
+        # Job fields to set at terminal time; an "error" marks a failure.
+        fields: dict[str, Any] = {}
+        spans = None
         try:
-            resolved = self.factory.resolve(spec)
-            key = None
-            history = None
-            warm_store = None
-            if self.oracle_store is not None and not spec.distributed:
-                key = task_key(spec)
-                # resolved.task builds (or reuses) the shared task; its
-                # measure set guards against loading foreign history.
-                history = self.oracle_store.load(key, resolved.task.measures)
-                if history is not None and len(history):
-                    warm_store = history.store
-                    warm = True
-                    warm_records = len(history)
-            # The hard kill gets a grace margin over the cooperative
-            # deadline: the cooperative path (which ships the partial
-            # test store back for warm-starting the retry) must get the
-            # first chance to report; the kill is only the backstop for
-            # jobs stuck outside the oracle boundary.
-            hard_timeout = (
-                None if job.timeout is None
-                else job.timeout + max(5.0, 0.25 * job.timeout)
-            )
-            outcome = self._run_with_progress(
-                job,
-                lambda wfd: _JobRun(
-                    resolved,
-                    warm_store,
-                    timeout=job.timeout,
-                    max_oracle_calls=job.max_oracle_calls,
-                    job_id=job.id,
-                    profile_path=self._profile_path(job),
-                    progress_fd=wfd,
-                ),
-                timeout=hard_timeout,
-            )
-            self._spans_dropped.inc(int(outcome.get("spans_dropped", 0) or 0))
-            oracle_calls = outcome["oracle_calls"]
-            limit = outcome.get("limit")
-            spans = outcome.get("spans")
-            saved = 0
-            if key is not None and outcome["store_rows"] is not None:
-                # Persistence is best-effort: the discovery already
-                # succeeded (or hit its limit with partial truth worth
-                # keeping), and a full disk or unwritable store must not
-                # turn a computed result into a FAILED job. A limited
-                # run never seeds the cold baseline — its call count is
-                # capped, not representative.
-                try:
-                    self.oracle_store.merge(
-                        key,
-                        TestStore.from_payload(outcome["store_rows"]),
-                        resolved.task.measures,
-                        cold_oracle_calls=(
-                            None if warm or limit else oracle_calls
-                        ),
-                    )
-                except Exception:
-                    logger.warning(
-                        "job %s: could not persist oracle history for %s",
-                        job.id, key, exc_info=True,
-                    )
-                baseline = (
-                    history.cold_oracle_calls if history is not None else None
-                )
-                if warm and baseline is not None and oracle_calls is not None:
-                    saved = max(0, baseline - oracle_calls)
-            if limit is not None:
-                self._fail(
-                    job,
-                    start,
-                    warm,
-                    warm_records,
-                    reason=limit,
-                    error=(
-                        f"JobLimitExceeded: job hit its "
-                        + (
-                            f"{job.timeout:g}s wall-clock limit"
-                            if limit == "timeout"
-                            else f"oracle-call quota of {job.max_oracle_calls}"
-                        )
-                    ),
-                    oracle_calls=oracle_calls,
-                    spans=spans,
-                )
-                return
-            if self.result_cache is not None:
-                try:
-                    self.result_cache.put(
-                        spec, outcome["result"], outcome["seconds"]
-                    )
-                except Exception:
-                    logger.warning(
-                        "job %s: could not write the result cache entry",
-                        job.id, exc_info=True,
-                    )
-            with self._lock:
-                job.result = outcome["result"]
-                job.run_seconds = time.perf_counter() - start
-                job.oracle_calls = oracle_calls
-                job.warm_started = warm
-                job.warm_records = warm_records
-                job.oracle_calls_saved = saved
-                job.trace = _assemble_trace(job, spans)
-                self._stamp_profile(job)
-                self._oracle_calls_total.inc(oracle_calls or 0)
-                self._oracle_calls_saved_total.inc(saved)
-                if warm:
-                    self._warm_starts.inc()
-                job.transition(JobState.DONE)
-                self._observe_timing(job)
-                self._journal_terminal(job)
-                self._on_terminal(job)
-                self._cond.notify_all()
-            self._maybe_compact_journal()
+            if job.shard_index is None:
+                spans = self._run_scenario(job, fields)
+            else:
+                spans = self._run_shard(job, fields)
         except JobLimitExceeded as exc:
             # Hard kill from the process backend: the child is gone, so
             # no partial store rows survive — only the failure does.
             logger.warning("job %s hit its %s limit: %s",
                            job.id, exc.reason, exc)
-            self._fail(
-                job, start, warm, warm_records,
-                reason=exc.reason, error=f"{type(exc).__name__}: {exc}",
+            fields.update(
+                failure_reason=exc.reason,
+                error=f"{type(exc).__name__}: {exc}",
             )
         except Exception as exc:  # noqa: BLE001 — per-job failure isolation
             logger.warning("job %s failed: %s", job.id, exc)
-            self._fail(
-                job, start, warm, warm_records,
-                reason="error", error=f"{type(exc).__name__}: {exc}",
+            fields.update(
+                failure_reason="error", error=f"{type(exc).__name__}: {exc}"
             )
-
-    def _fail(
-        self,
-        job: Job,
-        start: float,
-        warm: bool,
-        warm_records: int,
-        reason: str,
-        error: str,
-        oracle_calls: int | None = None,
-        spans: list[dict[str, Any]] | None = None,
-    ) -> None:
         with self._lock:
-            job.error = error
-            job.failure_reason = reason
+            for name, value in fields.items():
+                setattr(job, name, value)
             job.run_seconds = time.perf_counter() - start
-            job.warm_started = warm
-            job.warm_records = warm_records
             job.trace = _assemble_trace(job, spans)
             self._stamp_profile(job)
-            if oracle_calls is not None:
-                job.oracle_calls = oracle_calls
-                self._oracle_calls_total.inc(oracle_calls)
-            if reason == "timeout":
-                self._failed_limits.inc(reason="timeout")
-            elif reason == "quota":
-                self._failed_limits.inc(reason="quota")
-            job.transition(JobState.FAILED)
+            if fields.get("failure_reason") in ("timeout", "quota"):
+                self._failed_limits.inc(reason=job.failure_reason)
             self._observe_timing(job)
-            self._journal_terminal(job)
-            self._on_terminal(job)
-            self._cond.notify_all()
+            self._finish_locked(
+                job, JobState.FAILED if "error" in fields else JobState.DONE
+            )
+        self._settle_parent(job.parent_id)
         self._maybe_compact_journal()
+
+    def _run_scenario(
+        self, job: Job, fields: dict[str, Any]
+    ) -> list[dict[str, Any]] | None:
+        """Run an ordinary job: warm-start it from the oracle store, run
+        it, merge its oracle truth back, and cache its result.
+
+        Records the job's terminal fields in ``fields`` as they become
+        known (a later failure keeps the warm-start ones); returns the
+        run's spans.
+        """
+        spec = job.spec
+        resolved = self.factory.resolve(spec)
+        key = None
+        history = None
+        warm_store = None
+        fields.update(warm_started=False, warm_records=0)
+        if self.oracle_store is not None and not spec.distributed:
+            key = task_key(spec)
+            # resolved.task builds (or reuses) the shared task; its
+            # measure set guards against loading foreign history.
+            history = self.oracle_store.load(key, resolved.task.measures)
+            if history is not None and len(history):
+                warm_store = history.store
+                fields.update(warm_started=True, warm_records=len(history))
+        warm = fields["warm_started"]
+        # The hard kill gets a grace margin over the cooperative
+        # deadline: the cooperative path (which ships the partial
+        # test store back for warm-starting the retry) must get the
+        # first chance to report; the kill is only the backstop for
+        # jobs stuck outside the oracle boundary.
+        hard_timeout = (
+            None if job.timeout is None
+            else job.timeout + max(5.0, 0.25 * job.timeout)
+        )
+        outcome, spans = self._run_with_progress(
+            job,
+            lambda wfd: _JobRun(
+                resolved,
+                warm_store,
+                timeout=job.timeout,
+                max_oracle_calls=job.max_oracle_calls,
+                job_id=job.id,
+                profile_path=self._profile_path(job),
+                progress_fd=wfd,
+            ),
+            timeout=hard_timeout,
+        )
+        oracle_calls = outcome["oracle_calls"]
+        limit = outcome["limit"]
+        fields["oracle_calls"] = oracle_calls
+        self._oracle_calls_total.inc(oracle_calls or 0)
+        saved = 0
+        if key is not None and outcome["store_rows"] is not None:
+            # Persistence is best-effort: the discovery already
+            # succeeded (or hit its limit with partial truth worth
+            # keeping), and a full disk or unwritable store must not
+            # turn a computed result into a FAILED job. A limited
+            # run never seeds the cold baseline — its call count is
+            # capped, not representative.
+            try:
+                self.oracle_store.merge(
+                    key,
+                    TestStore.from_payload(outcome["store_rows"]),
+                    resolved.task.measures,
+                    cold_oracle_calls=(
+                        None if warm or limit else oracle_calls
+                    ),
+                )
+            except Exception:
+                logger.warning(
+                    "job %s: could not persist oracle history for %s",
+                    job.id, key, exc_info=True,
+                )
+            baseline = (
+                history.cold_oracle_calls if history is not None else None
+            )
+            if warm and baseline is not None and oracle_calls is not None:
+                saved = max(0, baseline - oracle_calls)
+        if limit is not None:
+            fields["failure_reason"] = limit
+            fields["error"] = "JobLimitExceeded: job hit its " + (
+                f"{job.timeout:g}s wall-clock limit"
+                if limit == "timeout"
+                else f"oracle-call quota of {job.max_oracle_calls}"
+            )
+            return spans
+        if self.result_cache is not None:
+            try:
+                self.result_cache.put(
+                    spec, outcome["result"], outcome["seconds"]
+                )
+            except Exception:
+                logger.warning(
+                    "job %s: could not write the result cache entry",
+                    job.id, exc_info=True,
+                )
+        fields.update(result=outcome["result"], oracle_calls_saved=saved)
+        self._oracle_calls_saved_total.inc(saved)
+        if warm:
+            self._warm_starts.inc()
+        return spans
+
+    def _run_shard(
+        self, job: Job, fields: dict[str, Any]
+    ) -> list[dict[str, Any]] | None:
+        """Run one shard child's slice of the seeded reduce-search; its
+        result is the local skyline the parent merges."""
+        resolved = self.factory.resolve(job.spec)
+        outcome, spans = self._run_with_progress(
+            job,
+            lambda wfd: ShardRun(
+                resolved,
+                job.shards,
+                job.shard_index,
+                job_id=job.id,
+                profile_path=self._profile_path(job),
+                progress_fd=wfd,
+            ),
+        )
+        fields["result"] = outcome
+        return spans
 
     # -- observability helpers ---------------------------------------------------
     def _profile_path(self, job: Job) -> str | None:
@@ -2006,23 +1900,58 @@ class Scheduler:
             self._run_hist.observe(job.run_seconds)
 
     # -- introspection -----------------------------------------------------------
-    def _job_table_snapshot(self) -> dict[str, Any]:
-        """Point-in-time job-table aggregates (by-state counts, shards,
-        leases held).
+    def _snapshot(self) -> dict[str, Any]:
+        """One point-in-time read of what the read views report.
 
-        The only part of the metrics payload that needs the scheduler
-        lock — and only for a cheap ``list()`` copy of the job dict; the
-        field reads below run lock-free on the copy. Everything else the
-        payload reports lives in the metrics registry (own per-series
-        locks) or in subsystems with their own locks, so a slow metrics
-        scrape can never stall submission or the worker pool.
+        :meth:`metrics`, :meth:`metrics_prometheus` and :meth:`health` all
+        render this. The scheduler lock is held only to copy the job table
+        and list the running jobs; everything else runs outside it, so a
+        slow scrape can never stall submission or the worker pool. The
+        subsystem stats (task cache, journal, event bus) carry their own
+        locks. ``oracle_store.stats()`` parses every store file, so it is
+        read by the JSON metrics payload alone.
         """
         now = time.time()
         with self._lock:
             jobs = list(self.jobs.values())
+            running = [
+                {
+                    "job_id": job.id,
+                    "shard_index": job.shard_index,
+                    "heartbeat_age_seconds": (
+                        max(0.0, now - self._last_event_at[job.id])
+                        if job.id in self._last_event_at
+                        else None
+                    ),
+                }
+                for job in jobs
+                if job.state == JobState.RUNNING
+            ]
+            ready = bool(self._threads) and not self.queue.closed
+        return {
+            "now": now,
+            "uptime_seconds": now - self._started_at,
+            "ready": ready,
+            "queue_depth": self.queue.depth,
+            "jobs": jobs,
+            "running": running,
+            "materialization": self.factory.task_cache.materialization_stats(),
+            "journal": (
+                self.journal.stats() if self.journal is not None else None
+            ),
+            "events": self.event_bus.stats(),
+        }
+
+    def _job_counts(self, snap: dict[str, Any]) -> dict[str, Any]:
+        """A snapshot's job table folded into the metrics' aggregates:
+        jobs by state, shard parents/children, and leases held.
+
+        Only the metrics views need these; :meth:`health` skips the fold,
+        which costs a pass over every retained job.
+        """
         by_state = {state: 0 for state in JobState.ALL}
         parents = children = children_in_flight = leases_held = 0
-        for job in jobs:
+        for job in snap["jobs"]:
             state = job.state
             if state in by_state:
                 by_state[state] += 1
@@ -2035,7 +1964,7 @@ class Scheduler:
             if (
                 state not in JobState.TERMINAL
                 and job.lease_owner == self.scheduler_id
-                and self._lease_live(job, now)
+                and self._lease_live(job, snap["now"])
             ):
                 leases_held += 1
         return {
@@ -2047,22 +1976,21 @@ class Scheduler:
         }
 
     def metrics(self) -> dict[str, Any]:
-        """The ``GET /metrics`` payload: queue, jobs, cache, oracle savings,
-        per-job limit failures, dedup hits, and journal/recovery state.
-
-        Values come from the typed :mod:`repro.obs` registry plus a brief
-        job-table snapshot — the scheduler lock is held only for that
-        snapshot's dict copy, never while the payload is being built.
+        """The ``GET /v1/metrics`` payload: queue, jobs, cache, oracle
+        savings, per-job limit failures, dedup hits, and journal/recovery
+        state — the typed :mod:`repro.obs` registry plus :meth:`_snapshot`.
         """
-        table = self._job_table_snapshot()
+        snap = self._snapshot()
+        table = self._job_counts(snap)
         submitted = self._submitted.value
         cache_hits = self._cache_hits.value
         lookups = submitted if self.result_cache is not None else 0
-        metrics: dict[str, Any] = {
-            "uptime_seconds": time.time() - self._started_at,
+        journal = snap["journal"]
+        return {
+            "uptime_seconds": snap["uptime_seconds"],
             "workers": self.n_workers,
             "backend": self.backend.name,
-            "queue_depth": self.queue.depth,
+            "queue_depth": snap["queue_depth"],
             "jobs_submitted": submitted,
             "jobs": table["by_state"],
             "result_cache": {
@@ -2093,7 +2021,7 @@ class Scheduler:
                 "in_flight": table["children_in_flight"],
             },
             "leases": {
-                "enabled": self._lease_active(),
+                "enabled": self.leases_enabled,
                 "owner": self.scheduler_id,
                 "ttl_seconds": self.lease_ttl,
                 "held": table["leases_held"],
@@ -2102,73 +2030,52 @@ class Scheduler:
                 "expired_seen": self._lease_events.get(event="expired_seen"),
                 "imported": self._lease_events.get(event="imported"),
             },
+            "materialization": snap["materialization"],
+            "journal": (
+                {
+                    "enabled": True,
+                    **journal,
+                    "recovery": dict(self._recovery),
+                }
+                if journal is not None
+                else {"enabled": False}
+            ),
+            "oracle_store": (
+                {"enabled": True, **self.oracle_store.stats()}
+                if self.oracle_store is not None
+                else {"enabled": False}
+            ),
+            "events": snap["events"],
         }
-        # The task cache has its own lock and never calls back into the
-        # scheduler. Stub factories (tests) may not carry a task cache;
-        # report zeroed counters then.
-        task_cache = getattr(self.factory, "task_cache", None)
-        stats_fn = getattr(task_cache, "materialization_stats", None)
-        metrics["materialization"] = (
-            stats_fn()
-            if stats_fn is not None
-            else {
-                "spaces": 0,
-                "hits": 0,
-                "misses": 0,
-                "bytes": 0,
-                "entries": 0,
-                "evictions": 0,
-            }
-        )
-        if self.journal is not None:
-            metrics["journal"] = {
-                "enabled": True,
-                **self.journal.stats(),
-                "recovery": dict(self._recovery),
-            }
-        else:
-            metrics["journal"] = {"enabled": False}
-        if self.oracle_store is not None:
-            metrics["oracle_store"] = {
-                "enabled": True, **self.oracle_store.stats()
-            }
-        else:
-            metrics["oracle_store"] = {"enabled": False}
-        metrics["events"] = self.event_bus.stats()
-        return metrics
 
     def metrics_prometheus(self) -> str:
         """The registry in Prometheus text exposition format (0.0.4).
 
-        Registry counters/histograms export natively; point-in-time
-        values (queue depth, jobs by state, cache/journal stats) ride
-        along as computed gauges. Same locking story as :meth:`metrics`.
+        Registry counters/histograms export natively; the point-in-time
+        values of :meth:`_snapshot` (queue depth, jobs by state,
+        cache/journal/event-bus stats) ride along as computed gauges.
         """
-        table = self._job_table_snapshot()
+        snap = self._snapshot()
+        table = self._job_counts(snap)
         gauges: dict[str, float] = {
-            "repro_uptime_seconds": time.time() - self._started_at,
+            "repro_uptime_seconds": snap["uptime_seconds"],
             "repro_workers": self.n_workers,
-            "repro_queue_depth": self.queue.depth,
+            "repro_queue_depth": snap["queue_depth"],
             "repro_shard_children_in_flight": table["children_in_flight"],
             "repro_leases_held": table["leases_held"],
         }
         for state, count in table["by_state"].items():
             gauges[f"repro_jobs_{state}"] = count
-        task_cache = getattr(self.factory, "task_cache", None)
-        stats_fn = getattr(task_cache, "materialization_stats", None)
-        if stats_fn is not None:
-            stats = stats_fn()
-            for key in ("hits", "misses", "bytes", "entries", "evictions"):
-                gauges[f"repro_materialization_{key}"] = stats.get(key, 0)
-        if self.journal is not None:
-            for key, value in self.journal.stats().items():
+        for key in ("hits", "misses", "bytes", "entries", "evictions"):
+            gauges[f"repro_materialization_{key}"] = (
+                snap["materialization"].get(key, 0)
+            )
+        for section in ("journal", "events"):
+            for key, value in (snap[section] or {}).items():
                 if isinstance(value, (int, float)) and not isinstance(
                     value, bool
                 ):
-                    gauges[f"repro_journal_{key}"] = value
-        for key, value in self.event_bus.stats().items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                gauges[f"repro_events_{key}"] = value
+                    gauges[f"repro_{section}_{key}"] = value
         return render_prometheus(self.metrics_registry, extra_gauges=gauges)
 
     def trace(self, job_id: str) -> dict[str, Any]:
@@ -2180,25 +2087,7 @@ class Scheduler:
         finished under a SIGKILLed peer scheduler.
         """
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(f"unknown job id {job_id!r}")
-            spans = list(job.trace or [])
-            shard_traces: list[dict[str, Any]] = []
-            if job.is_shard_parent:
-                for child_id in self._shard_children.get(job_id, []):
-                    child = self.jobs.get(child_id)
-                    if child is None:
-                        continue
-                    shard_traces.append(
-                        {
-                            "job_id": child.id,
-                            "shard_index": child.shard_index,
-                            "state": child.state,
-                            "spans": list(child.trace or []),
-                        }
-                    )
-                shard_traces.sort(key=lambda c: c["shard_index"] or 0)
+            job = self._job_locked(job_id)
             payload: dict[str, Any] = {
                 "job_id": job.id,
                 "state": job.state,
@@ -2209,12 +2098,20 @@ class Scheduler:
                     else None
                 ),
                 "run_seconds": job.run_seconds,
-                "spans": spans,
+                "spans": list(job.trace or []),
                 "profile": None,
             }
+            if job.is_shard_parent:
+                payload["shards"] = [
+                    {
+                        "job_id": child.id,
+                        "shard_index": child.shard_index,
+                        "state": child.state,
+                        "spans": list(child.trace or []),
+                    }
+                    for child in self._shard_children_locked(job_id)
+                ]
             profile_path = job.profile_path
-        if job.is_shard_parent:
-            payload["shards"] = shard_traces
         if profile_path is not None:
             profile: dict[str, Any] = {"path": profile_path}
             try:
@@ -2255,19 +2152,10 @@ class Scheduler:
         """
         now = time.time()
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(f"unknown job id {job_id!r}")
+            job = self._job_locked(job_id)
             payload = self._progress_entry_locked(job, now)
             if job.is_shard_parent:
-                children = sorted(
-                    (
-                        self.jobs[cid]
-                        for cid in self._shard_children.get(job_id, [])
-                        if cid in self.jobs
-                    ),
-                    key=lambda c: c.shard_index or 0,
-                )
+                children = self._shard_children_locked(job_id)
                 shards = [
                     self._progress_entry_locked(child, now)
                     for child in children
@@ -2307,9 +2195,7 @@ class Scheduler:
         """
         now = time.time()
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(f"unknown job id {job_id!r}")
+            job = self._job_locked(job_id)
             if job.state == JobState.DONE:
                 return {
                     "job_id": job.id,
@@ -2324,8 +2210,8 @@ class Scheduler:
             if job.is_shard_parent:
                 seen_bits: set[Any] = set()
                 stamps: list[float] = []
-                for cid in self._shard_children.get(job_id, []):
-                    snap = self._partials.get(cid)
+                for child in self._shard_children_locked(job_id):
+                    snap = self._partials.get(child.id)
                     if not snap:
                         continue
                     stamps.append(snap["updated_at"])
@@ -2382,42 +2268,20 @@ class Scheduler:
         heartbeat lands — or forever, for a worker stuck before its
         first valuation).
         """
-        now = time.time()
-        with self._lock:
-            jobs = list(self.jobs.values())
-            running = []
-            busy = 0
-            for job in jobs:
-                if job.state != JobState.RUNNING:
-                    continue
-                busy += 1
-                last = self._last_event_at.get(job.id)
-                running.append(
-                    {
-                        "job_id": job.id,
-                        "shard_index": job.shard_index,
-                        "heartbeat_age_seconds": (
-                            max(0.0, now - last)
-                            if last is not None
-                            else None
-                        ),
-                    }
-                )
-            ready = bool(self._threads) and not self.queue.closed
-        journal_info: dict[str, Any] = {
-            "enabled": self.journal is not None
-        }
-        if self.journal is not None:
-            last_append = self.journal.last_append_at
-            journal_info["append_lag_seconds"] = (
-                max(0.0, now - last_append)
+        snap = self._snapshot()
+        busy = len(snap["running"])
+        journal: dict[str, Any] = {"enabled": snap["journal"] is not None}
+        if snap["journal"] is not None:
+            last_append = snap["journal"]["last_append_at"]
+            journal["append_lag_seconds"] = (
+                max(0.0, snap["now"] - last_append)
                 if last_append is not None
                 else None
             )
         return {
             "live": True,
-            "ready": ready,
-            "queue_depth": self.queue.depth,
+            "ready": snap["ready"],
+            "queue_depth": snap["queue_depth"],
             "workers": {
                 "total": self.n_workers,
                 "busy": busy,
@@ -2425,9 +2289,9 @@ class Scheduler:
                     busy / self.n_workers if self.n_workers else 0.0
                 ),
             },
-            "journal": journal_info,
-            "events": self.event_bus.stats(),
-            "running_jobs": running,
+            "journal": journal,
+            "events": snap["events"],
+            "running_jobs": snap["running"],
         }
 
     def __repr__(self) -> str:

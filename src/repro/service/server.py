@@ -45,9 +45,7 @@ Routes (v1)::
                              ``?format=prometheus`` renders the same
                              registry as Prometheus text exposition
 
-The original unversioned paths (``/jobs``, ``/results/{id}``,
-``/healthz``, ``/metrics``) remain as deprecated aliases: same handlers,
-same payloads, plus a ``Deprecation: true`` response header.
+Paths outside ``/v1`` match no route.
 
 Every 4xx/5xx body is the error envelope::
 
@@ -64,7 +62,8 @@ invalid-scenario    400     the spec does not resolve (unknown scenario,
                             task, algorithm, or illegal field combination)
 payload-too-large   400     declared request body exceeds MAX_BODY_BYTES
 unknown-job         404     the job id is not known to the scheduler
-unknown-route       404     no route matches the method + path
+unknown-route       404     no route matches the method + path (every
+                            route lives under ``/v1``)
 not-cancellable     409     DELETE on a job that is not queued, or on a
                             shard child (cancel the parent instead)
 result-not-ready    409     GET /v1/results/{id} before the job is DONE
@@ -112,7 +111,6 @@ from ..exceptions import (
     ReproError,
     ResultNotReadyError,
     ScenarioError,
-    ServiceError,
     ServiceOverloadedError,
     UnknownRouteError,
 )
@@ -171,6 +169,25 @@ def job_etag(payload: dict[str, Any]) -> str:
     return 'W/"' + hashlib.sha1(token.encode("utf-8")).hexdigest()[:20] + '"'
 
 
+def _error_envelope(exc: Exception) -> tuple[int, dict[str, Any]]:
+    """The HTTP status and ``{"code", "message", "detail"}`` envelope
+    for a request that failed with ``exc``."""
+    message = str(exc)
+    detail: dict[str, Any] = {}
+    if isinstance(exc, ApiError):
+        status, code, detail = exc.http_status, exc.code, exc.detail
+    elif isinstance(exc, ScenarioError):
+        status, code = 400, "invalid-scenario"
+    elif isinstance(exc, ReproError):
+        # Bad limits, unknown task/algorithm, bad kwargs, and similar
+        # spec-level failures surfacing from below the scenario layer.
+        status, code = 400, "invalid-request"
+    else:
+        status, code = 500, "internal"
+        message = f"{type(exc).__name__}: {exc}"
+    return status, {"code": code, "message": message, "detail": detail}
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Dispatches requests onto the server's scheduler."""
 
@@ -186,19 +203,16 @@ class _Handler(BaseHTTPRequestHandler):
         logger.debug("%s %s", self.address_string(), format % args)
 
     def _split_route(self) -> tuple[str, str]:
-        """Normalize the request path to its unversioned route + query.
+        """The request's route below ``/v1``, and its query string.
 
-        ``/v1/...`` is the current API; bare paths are the deprecated
-        aliases and mark the response (``Deprecation: true``).
+        Raises :class:`~repro.exceptions.UnknownRouteError` for a path
+        outside ``/v1``.
         """
         path, _, query = self.path.partition("?")
         path = path.rstrip("/") or "/"
-        if path == "/v1" or path.startswith("/v1/"):
-            self._deprecated = False
-            path = path[len("/v1"):] or "/"
-        else:
-            self._deprecated = True
-        return path, query
+        if path != "/v1" and not path.startswith("/v1/"):
+            raise UnknownRouteError(f"no route for {self.command} {path}")
+        return path[len("/v1"):] or "/", query
 
     def _send_json(
         self,
@@ -212,8 +226,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        if getattr(self, "_deprecated", False):
-            self.send_header("Deprecation", "true")
         if self.close_connection:
             # Set when we refuse to read a request body: the unread bytes
             # would desynchronize a kept-alive HTTP/1.1 stream.
@@ -228,8 +240,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
-        if getattr(self, "_deprecated", False):
-            self.send_header("Deprecation", "true")
         self.end_headers()
         self.wfile.write(data)
 
@@ -237,29 +247,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(304)
         self.send_header("ETag", etag)
         self.send_header("Content-Length", "0")
-        if getattr(self, "_deprecated", False):
-            self.send_header("Deprecation", "true")
         self.end_headers()
-
-    def _send_error_json(
-        self,
-        status: int,
-        code: str,
-        message: str,
-        detail: dict[str, Any] | None = None,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        self._send_json(
-            status,
-            {
-                "error": {
-                    "code": code,
-                    "message": message,
-                    "detail": detail or {},
-                }
-            },
-            headers=headers,
-        )
 
     def _drain_request_body(self) -> None:
         """Discard an unread request body so keep-alive stays in sync.
@@ -379,29 +367,21 @@ class _Handler(BaseHTTPRequestHandler):
                 # Error or not, leave no unread body bytes behind: the
                 # next kept-alive request would parse them as its line.
                 self._drain_request_body()
-        except ApiError as exc:
-            headers = None
-            retry_after = getattr(exc, "retry_after", None)
-            if retry_after is not None:
-                headers = {"Retry-After": str(int(retry_after))}
-            self._send_error_json(
-                exc.http_status, exc.code, str(exc), exc.detail,
-                headers=headers,
-            )
-        except ScenarioError as exc:
-            self._send_error_json(400, "invalid-scenario", str(exc))
-        except ServiceError as exc:
-            self._send_error_json(400, "invalid-request", str(exc))
-        except ReproError as exc:
-            # Unknown task/algorithm, bad kwargs, and similar spec-level
-            # failures surfacing from below the scenario layer.
-            self._send_error_json(400, "invalid-request", str(exc))
         except BrokenPipeError:  # pragma: no cover - client went away
             pass
-        except Exception as exc:  # pragma: no cover - last-resort 500
-            logger.exception("unhandled error serving %s", self.path)
-            self._send_error_json(
-                500, "internal", f"{type(exc).__name__}: {exc}"
+        except Exception as exc:
+            if not isinstance(exc, ReproError):  # pragma: no cover
+                logger.exception("unhandled error serving %s", self.path)
+            status, error = _error_envelope(exc)
+            retry_after = getattr(exc, "retry_after", None)
+            self._send_json(
+                status,
+                {"error": error},
+                headers=(
+                    {"Retry-After": str(int(retry_after))}
+                    if retry_after is not None
+                    else None
+                ),
             )
 
     # -- verbs -------------------------------------------------------------------
@@ -433,7 +413,7 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
                 "journal": scheduler.journal is not None,
                 "scheduler_id": scheduler.scheduler_id,
-                "leases": scheduler._lease_active(),
+                "leases": scheduler.leases_enabled,
                 "http": self.server.pool_stats(),  # type: ignore[attr-defined]
             }
             payload.update(
@@ -691,33 +671,9 @@ class _Handler(BaseHTTPRequestHandler):
                     )
                 self._admit_submission()
                 job = self.scheduler.submit_request(item)
-            except ApiError as exc:
-                results.append({
-                    "status": exc.http_status,
-                    "error": {
-                        "code": exc.code,
-                        "message": str(exc),
-                        "detail": exc.detail,
-                    },
-                })
-            except ScenarioError as exc:
-                results.append({
-                    "status": 400,
-                    "error": {
-                        "code": "invalid-scenario",
-                        "message": str(exc),
-                        "detail": {},
-                    },
-                })
             except ReproError as exc:
-                results.append({
-                    "status": 400,
-                    "error": {
-                        "code": "invalid-request",
-                        "message": str(exc),
-                        "detail": {},
-                    },
-                })
+                status, error = _error_envelope(exc)
+                results.append({"status": status, "error": error})
             else:
                 results.append({"status": 201, "job": job.to_payload()})
         self._send_json(207, {"jobs": results})

@@ -27,6 +27,7 @@ from repro.core.transducer import Entry, SearchSpace
 from repro.exec.backends import Backend
 from repro.relational.schema import Schema
 from repro.relational.table import Table
+from repro.scenarios.factory import TaskCache
 from repro.scenarios.spec import Scenario
 from repro.service.scheduler import Scheduler
 
@@ -155,6 +156,8 @@ class StubResolved:
 class StubFactory:
     """resolve() dispatches on scenario name to a registered behavior."""
 
+    task_cache = TaskCache()
+
     def __init__(self):
         self.behaviors = {}
 
@@ -172,6 +175,8 @@ class StubFactory:
 
 class AnythingFactory:
     """resolve() accepts any spec (for tests whose jobs never run)."""
+
+    task_cache = TaskCache()
 
     def resolve(self, spec):
         return StubResolved(spec, lambda: None)
@@ -231,7 +236,6 @@ class CrashingScheduler(Scheduler):
 
     def __init__(self, *, crash_before=(), crash_after=(), **kwargs):
         kwargs.setdefault("n_workers", 1)
-        kwargs.setdefault("poll_interval", 0.02)
         super().__init__(**kwargs)
         self.backend = CrashingBackend(
             crash_before=crash_before, crash_after=crash_after

@@ -44,7 +44,6 @@ def overloaded():
         factory.on(name, lambda: None)
     scheduler = Scheduler(
         factory=factory, registry=object(), n_workers=1,
-        poll_interval=0.02,
     )
     config = PoolConfig(http_workers=4, admission_queue_depth=1)
     server = ServiceServer(scheduler, port=0, config=config)
@@ -146,6 +145,41 @@ class TestClientBackoff:
         assert job["state"] in ("queued", "running", "done")
         record = retrying.wait(job["id"], timeout=30.0)
         assert record["state"] == "done"
+
+    def test_prometheus_scrape_retries_until_capacity_frees(self):
+        """The text transport backs off like the JSON one: a scrape
+        refused at the connection cap succeeds once the cap frees."""
+        retries = []
+
+        class CountingClient(ServiceClient):
+            def _backoff_delay(self, attempt, retry_after):
+                retries.append(attempt)
+                return super()._backoff_delay(attempt, retry_after)
+
+        scheduler = Scheduler(
+            factory=StubFactory(), registry=object(), n_workers=1
+        )
+        config = PoolConfig(http_workers=2, max_connections=1)
+        with ServiceServer(scheduler, port=0, config=config) as server:
+            parts = urlsplit(server.url)
+            holder = http.client.HTTPConnection(
+                parts.hostname, parts.port, timeout=10
+            )
+            # A kept-alive connection takes the only slot until the
+            # timer drops it, mid-call.
+            holder.request("GET", "/v1/healthz")
+            holder.getresponse().read()
+            releaser = threading.Timer(0.3, holder.close)
+            releaser.start()
+            try:
+                client = CountingClient(server.url, timeout=10.0,
+                                        retries=5, backoff_base=0.05)
+                text = client.metrics(format="prometheus")
+            finally:
+                releaser.cancel()
+                holder.close()
+        assert "repro_jobs_submitted_total" in text
+        assert len(retries) > 0
 
     def test_zero_retries_surfaces_the_429_immediately(self, overloaded):
         impatient = ServiceClient(overloaded["url"], timeout=15.0,

@@ -24,7 +24,6 @@ from tests.helpers import StubFactory, service_spec as spec
 
 def make_scheduler(factory, **kwargs):
     kwargs.setdefault("n_workers", 1)
-    kwargs.setdefault("poll_interval", 0.02)
     kwargs.setdefault("registry", object())
     return Scheduler(factory=factory, **kwargs)
 
@@ -268,7 +267,7 @@ class TestHTTPEventSurface:
     @pytest.fixture()
     def service(self):
         scheduler = Scheduler(
-            registry=object(), n_workers=2, poll_interval=0.02
+            registry=object(), n_workers=2
         )
         with ServiceServer(scheduler, port=0) as server:
             yield ServiceClient(server.url, timeout=15.0)

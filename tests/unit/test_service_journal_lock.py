@@ -157,7 +157,6 @@ class TestLeaseModeCompaction:
                 journal_dir, max_segment_bytes=256, fsync=False
             ),
             n_workers=1,
-            poll_interval=0.02,
             lease_sweep_interval=3600.0,
             **kwargs,
         )

@@ -29,7 +29,7 @@ EXHAUSTIVE = dict(
 )
 # A sweep interval far beyond any test duration: sweeps happen only when
 # a test calls sweep_leases() itself.
-MANUAL = dict(lease_sweep_interval=3600.0, poll_interval=0.02)
+MANUAL = dict(lease_sweep_interval=3600.0)
 
 
 def stub_scheduler(journal_dir, names=("j1",), **kwargs):
@@ -179,7 +179,7 @@ class TestOwnershipAcrossRestarts:
 class TestSurvivorFinishesShardedJob:
     def test_sigkilled_peer_mid_shard_identical_skyline(self, tmp_path):
         # The undisturbed reference: one scheduler, no journal.
-        with Scheduler(n_workers=2, poll_interval=0.02) as reference:
+        with Scheduler(n_workers=2) as reference:
             ref_parent = reference.submit(Scenario(**EXHAUSTIVE), shards=2)
             ref_job = reference.wait(ref_parent.id, timeout=300)
             assert ref_job.state == "done", ref_job.error

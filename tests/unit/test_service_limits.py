@@ -19,6 +19,7 @@ import pytest
 from repro.core.estimator import TestRecord, TestStore
 from repro.exceptions import JobLimitExceeded, ServiceError
 from repro.exec.backends import ProcessBackend
+from repro.scenarios.factory import TaskCache
 from repro.service import JobState, OracleStore, Scheduler
 from repro.service.store import task_key
 from tests.helpers import StubResult, service_spec as spec
@@ -85,6 +86,8 @@ class ProbeResolved:
 
 
 class ProbeFactory:
+    task_cache = TaskCache()
+
     def __init__(self):
         self.runnables = {}
 
@@ -97,7 +100,6 @@ class ProbeFactory:
 
 def make_scheduler(factory, **kwargs):
     kwargs.setdefault("n_workers", 1)
-    kwargs.setdefault("poll_interval", 0.02)
     return Scheduler(registry=object(), factory=factory, **kwargs)
 
 

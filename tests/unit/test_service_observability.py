@@ -20,7 +20,7 @@ import pytest
 
 from repro.exceptions import UnknownJobError
 from repro.obs import span_tree
-from repro.service import JobJournal, Scheduler
+from repro.service import JobJournal, OracleStore, Scheduler
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceServer
 from tests.helpers import StubFactory, service_spec as spec
@@ -30,7 +30,6 @@ from tests.unit.test_obs import _parse_prometheus
 
 def make_scheduler(factory=None, **kwargs):
     kwargs.setdefault("n_workers", 1)
-    kwargs.setdefault("poll_interval", 0.02)
     if factory is not None:
         kwargs.setdefault("registry", object())
         kwargs["factory"] = factory
@@ -183,7 +182,7 @@ class TestTraces:
         """Acceptance: the tree covers queue-wait, run, and >= 3 distinct
         search phases."""
         scheduler = Scheduler(
-            registry=object(), n_workers=1, poll_interval=0.02
+            registry=object(), n_workers=1
         )
         with scheduler:
             job = scheduler.submit(spec("real", estimator="oracle"))
@@ -202,7 +201,6 @@ class TestTraces:
             registry=object(),
             journal=JobJournal(journal_dir),
             n_workers=2,
-            poll_interval=0.02,
         )
         with scheduler:
             parent = scheduler.submit(
@@ -243,7 +241,6 @@ class TestProfilingIntegration:
         scheduler = Scheduler(
             registry=object(),
             n_workers=1,
-            poll_interval=0.02,
             profile_dir=tmp_path / "profiles",
         )
         with scheduler:
@@ -274,7 +271,7 @@ class TestHTTPSurface:
     @pytest.fixture()
     def service(self):
         scheduler = Scheduler(
-            registry=object(), n_workers=1, poll_interval=0.02
+            registry=object(), n_workers=1
         )
         with ServiceServer(scheduler, port=0) as server:
             yield ServiceClient(server.url, timeout=10.0)
@@ -320,3 +317,128 @@ class TestHTTPSurface:
 
         with pytest.raises(ServiceError, match="404"):
             service.trace("job-missing")
+
+
+class TestReadViewPayloads:
+    """Pins the exact key sets of ``/v1/metrics`` (JSON and Prometheus)
+    and ``/v1/healthz`` on a scheduler with every subsystem attached."""
+
+    JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+    @pytest.fixture(scope="class")
+    def payloads(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("read-views")
+        scheduler = Scheduler(
+            registry=object(),
+            n_workers=1,
+            journal=JobJournal(root / "journal"),
+            oracle_store=OracleStore(root / "oracle"),
+        )
+        with ServiceServer(scheduler, port=0) as server:
+            client = ServiceClient(server.url, timeout=30.0)
+            job = client.submit(
+                task="T3", algorithm="apx", epsilon=0.3, budget=6,
+                max_level=2, scale=0.2, estimator="oracle",
+            )
+            assert client.wait(job["id"], timeout=120.0)["state"] == "done"
+            yield {
+                "metrics": client.metrics(),
+                "prometheus": client.metrics(format="prometheus"),
+                "health": client.health(),
+            }
+
+    def test_prometheus_gauge_names(self, payloads):
+        _, _, types = _parse_prometheus(payloads["prometheus"])
+        gauges = {name for name, kind in types.items() if kind == "gauge"}
+        assert gauges == {
+            "repro_uptime_seconds",
+            "repro_workers",
+            "repro_queue_depth",
+            *(f"repro_jobs_{state}" for state in self.JOB_STATES),
+            "repro_shard_children_in_flight",
+            "repro_leases_held",
+            *(
+                f"repro_materialization_{key}"
+                for key in ("hits", "misses", "bytes", "entries", "evictions")
+            ),
+            "repro_journal_segments",
+            "repro_journal_total_bytes",
+            "repro_journal_last_append_at",
+            *(
+                f"repro_events_{key}"
+                for key in (
+                    "capacity", "size", "last_seq", "oldest_seq", "published"
+                )
+            ),
+            "repro_http_inflight",  # the HTTP pool's registry gauge
+        }
+
+    def test_metrics_json_keys(self, payloads):
+        metrics = payloads["metrics"]
+        assert set(metrics) == LEGACY_TOP_KEYS | {"events"}
+        sections = {
+            name: set(value)
+            for name, value in metrics.items()
+            if isinstance(value, dict)
+        }
+        assert sections == {
+            "jobs": set(self.JOB_STATES),
+            "result_cache": {"enabled", "lookups", "hits", "hit_rate"},
+            "dedup": {"inflight_hits"},
+            "limits": {"failed_timeout", "failed_quota"},
+            "retries": {"max_per_job", "total"},
+            "oracle": {"warm_starts", "calls_total", "calls_saved_total"},
+            "shards": {
+                "submitted", "merged", "parents", "children", "in_flight",
+            },
+            "leases": {
+                "enabled", "owner", "ttl_seconds", "held", "renewed",
+                "adopted", "expired_seen", "imported",
+            },
+            "materialization": {
+                "spaces", "hits", "misses", "bytes", "entries", "evictions",
+            },
+            "journal": {
+                "enabled", "directory", "segments", "total_bytes",
+                "last_append_at", "recovery",
+            },
+            "oracle_store": {
+                "enabled", "directory", "task_keys", "records",
+                "total_records", "total_bytes",
+            },
+            "events": {
+                "capacity", "size", "last_seq", "oldest_seq", "published",
+            },
+        }
+        assert set(metrics["journal"]["recovery"]) == {
+            "replayed", "requeued", "retried", "refollowed",
+            "failed_retry_budget", "restored_terminal", "unrecoverable",
+            "skipped_lines", "torn_tail", "remote_leases", "shard_parents",
+        }
+
+    def test_healthz_keys(self, payloads):
+        health = payloads["health"]
+        assert set(health) == {
+            "status", "version", "api", "uptime_seconds", "journal",
+            "scheduler_id", "leases", "http", "live", "ready",
+            "queue_depth", "workers", "journal_detail", "events",
+            "running_jobs",
+        }
+        sections = {
+            name: set(value)
+            for name, value in health.items()
+            if isinstance(value, dict)
+        }
+        assert sections == {
+            "http": {
+                "http_workers", "max_pending", "admission_queue_depth",
+                "longpoll_slots", "max_connections", "open_connections",
+                "pending",
+            },
+            "workers": {"total", "busy", "saturation"},
+            "journal_detail": {"enabled", "append_lag_seconds"},
+            "events": {
+                "capacity", "size", "last_seq", "oldest_seq", "published",
+            },
+        }
+        assert health["running_jobs"] == []

@@ -27,7 +27,6 @@ def make_scheduler(**kwargs):
     kwargs.setdefault("factory", StubFactory())
     kwargs.setdefault("registry", object())
     kwargs.setdefault("n_workers", 1)
-    kwargs.setdefault("poll_interval", 0.02)
     return Scheduler(**kwargs)
 
 

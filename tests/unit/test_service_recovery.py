@@ -29,7 +29,6 @@ from tests.helpers import (
 
 def make_scheduler(factory, journal_dir, **kwargs):
     kwargs.setdefault("n_workers", 1)
-    kwargs.setdefault("poll_interval", 0.02)
     return Scheduler(
         registry=object(),
         factory=factory,
@@ -129,6 +128,9 @@ class TestRunningJobRetry:
         assert job.state == JobState.RUNNING
         return job
 
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
     def test_crashed_running_job_is_retried_once(self, tmp_path):
         factory = StubFactory()
         factory.on("victim", lambda: None)
@@ -146,6 +148,9 @@ class TestRunningJobRetry:
         assert recovery["retried"] == 1
         assert revived.metrics()["retries"]["total"] == 1
 
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
     def test_retry_budget_exhaustion_fails_the_job(self, tmp_path):
         factory = StubFactory()
         factory.on("victim", lambda: None)
@@ -165,6 +170,9 @@ class TestRunningJobRetry:
         assert third.get(job.id).state == JobState.FAILED
         assert third.queue.depth == 0
 
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
     def test_retry_count_accumulates_across_crashes(self, tmp_path):
         factory = StubFactory()
         factory.on("victim", lambda: None)
@@ -305,6 +313,9 @@ class TestReplayDedup:
         assert primary.state == twin.state == JobState.DONE
         assert twin.deduped and twin.result == primary.result
 
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
     def test_retried_record_is_durable_before_compaction(self, tmp_path):
         """The retry charge is appended as its own record, so a crash
         *during* recovery (before/while compacting) still replays it."""
@@ -445,7 +456,7 @@ class TestJournalMechanics:
             factory.on(f"j{i}", lambda: None)
         scheduler = Scheduler(
             registry=object(), factory=factory, journal=journal,
-            n_workers=1, poll_interval=0.02,
+            n_workers=1,
         )
         with scheduler:
             jobs = [
@@ -468,7 +479,7 @@ class TestJournalMechanics:
             factory.on(f"j{i}", lambda: None)
         scheduler = Scheduler(
             registry=object(), factory=factory, journal=journal,
-            n_workers=1, poll_interval=0.02,
+            n_workers=1,
         )
         with scheduler:
             for i in range(8):
@@ -696,6 +707,9 @@ class TestRecoverCLI:
         report = load_recovery_report(out)
         assert report["compacted_records"] == 2
 
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
     def test_recover_flags_running_jobs_by_retry_budget(
         self, tmp_path, capsys
     ):

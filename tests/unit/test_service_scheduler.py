@@ -21,7 +21,6 @@ from tests.helpers import (
 
 def make_scheduler(factory, **kwargs):
     kwargs.setdefault("n_workers", 1)
-    kwargs.setdefault("poll_interval", 0.02)
     return Scheduler(registry=object(), factory=factory, **kwargs)
 
 
