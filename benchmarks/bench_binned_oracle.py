@@ -21,7 +21,8 @@ floor (``exact_search_s``, ``exact_speedup``); its skyline must equal the
 scalar one, since the two kernels grow bit-identical trees. Separately, the
 identical-skyline gate is asserted where it is *mathematically exact*:
 the same histogram learner run once per-state-binned (legacy prologue,
-scalar reference trees) and once pre-binned. The dataset is engineered
+scalar reference trees from ``tests/reference/hist_tree.py``) and once
+pre-binned. The dataset is engineered
 so the two binning schemes coincide — every feature has 8 distinct
 values with equal row counts, so any quantile grid, universal or
 per-state, separates all adjacent values and induces the same histogram
@@ -35,7 +36,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,7 @@ import repro.ml.histogram_boosting as hb
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # for tests.reference
 from tests.reference.cart import scalar_cart  # noqa: E402
+from tests.reference.hist_tree import reference_hist_trees  # noqa: E402
 
 N_ROWS = 8192
 N_FEATURES = 4
@@ -145,19 +146,6 @@ def _task(model_name: str) -> DiscoveryTask:
     )
 
 
-@contextmanager
-def _reference_trees():
-    """Grow histogram trees with the scalar pre-vectorization
-    implementation — the honest pre-PR baseline for the parity pair
-    (kept in-tree for exactly this comparison)."""
-    original = hb._HistTree
-    hb._HistTree = hb._HistTreeReference
-    try:
-        yield
-    finally:
-        hb._HistTree = original
-
-
 def _run_search(task, strip: bool = False):
     """One cold exhaustive BiMODis run; ``strip=True`` removes the
     oracle's capability flags so every valuation materializes a Python
@@ -191,7 +179,7 @@ def test_binned_oracle_speedup(benchmark):
             binned_times.append(t)
         # parity pair: the same histogram learner through the legacy
         # prologue (per-state binning, scalar reference trees)
-        with _reference_trees():
+        with reference_hist_trees():
             _, parity_front = _run_search(_task(MODEL_BINNED), strip=True)
         return (
             min(legacy_times), min(exact_times), min(binned_times),

@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Any, Sequence
 
 from . import __version__
@@ -550,9 +551,7 @@ def _progress_bar(fraction: float, width: int = 20) -> str:
 
 def _format_event(event: dict) -> str:
     """One event as a human-readable ``watch`` line."""
-    import time as _time
-
-    stamp = _time.strftime("%H:%M:%S", _time.localtime(event.get("ts", 0)))
+    stamp = time.strftime("%H:%M:%S", time.localtime(event.get("ts", 0)))
     data = event.get("data") or {}
     kind = event.get("type", "?")
     extra = []
@@ -628,7 +627,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
 def _top_frame(client, max_rows: int = 15) -> str:
     """One rendered ``repro top`` frame (dashboard snapshot)."""
-    import time as _time
 
     from .exceptions import ServiceError
 
@@ -637,7 +635,7 @@ def _top_frame(client, max_rows: int = 15) -> str:
     workers = health.get("workers") or {}
     events = health.get("events") or {}
     lines = [
-        f"repro top — {_time.strftime('%H:%M:%S')}  "
+        f"repro top — {time.strftime('%H:%M:%S')}  "
         f"queue={health.get('queue_depth', '?')}  "
         f"workers={workers.get('busy', '?')}/{workers.get('total', '?')} "
         f"({workers.get('saturation', 0.0):.0%} busy)  "
@@ -703,7 +701,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     running jobs. ``--iterations N`` stops after N frames (useful in
     scripts and tests; 0 means run until interrupted).
     """
-    import time as _time
 
     from .service import ServiceClient
 
@@ -718,7 +715,7 @@ def cmd_top(args: argparse.Namespace) -> int:
             frames += 1
             if args.iterations and frames >= args.iterations:
                 return 0
-            _time.sleep(args.interval)
+            time.sleep(args.interval)
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         return 0
 
@@ -747,28 +744,28 @@ def cmd_recover(args: argparse.Namespace) -> int:
     snapshot segment.
     """
     from .report import save_recovery_report
-    from .service import JobJournal, JobState
+    from .service import JobJournal
+    from .service.jobs import Job
+    from .service.scheduler import RECOVERY_ACTIONS, recovery_action
 
     journal = JobJournal(args.journal_dir)
     summary = journal.replay()
     rows = []
-    actions = {"requeue": 0, "retry": 0, "fail-retry-budget": 0, "keep": 0}
-    # Mirrors Scheduler._recover's policy (a crash charges one retry,
-    # over-budget fails). Dedup re-linking of identical fingerprints is
-    # deliberately not modeled offline — a "requeue" here may become a
-    # follower of another requeued job at actual boot.
+    actions = dict.fromkeys(RECOVERY_ACTIONS, 0)
+    # The scheduler's own policy. Offline, the restarting scheduler's id
+    # is unknown, so every live lease counts as a peer's. Dedup
+    # re-linking of identical fingerprints is not modeled — a "requeue"
+    # here may become a follower of another requeued job at actual boot.
+    now = time.time()
     for snapshot in summary.jobs.values():
         state = snapshot.get("state", "?")
         retries = snapshot.get("retries", 0) or 0
-        if state == JobState.QUEUED:
-            action = "requeue"
-        elif state == JobState.RUNNING:
-            action = (
-                "retry" if retries + 1 <= args.max_retries
-                else "fail-retry-budget"
-            )
+        try:
+            job = Job.from_snapshot(snapshot)
+        except Exception:
+            action = "drop"
         else:
-            action = "keep"
+            action = recovery_action(job, args.max_retries, now)
         actions[action] += 1
         rows.append({
             "id": snapshot.get("id", "?"),

@@ -28,7 +28,7 @@ from ..config import Configuration
 from ..dominance import SkylineGrid, pareto_front
 from ..measures import MeasureSet
 from ..state import State
-from ..transducer import RunningGraph, Transducer
+from ..transducer import RunningGraph, SearchSpace, Transducer
 
 
 @dataclass(slots=True)
@@ -43,6 +43,21 @@ class SkylineEntry:
     @property
     def bits(self) -> int:
         return self.state.bits
+
+
+def skyline_entries(
+    states: list[State], measures: MeasureSet, space: SearchSpace
+) -> list[SkylineEntry]:
+    """The result entries for ``states``, best-first by performance."""
+    return [
+        SkylineEntry(
+            state=state,
+            perf=measures.as_dict(state.perf),
+            output_size=space.output_size(state.bits),
+            description=state.via or "s_U",
+        )
+        for state in sorted(states, key=lambda s: tuple(s.perf))
+    ]
 
 
 @dataclass
@@ -251,18 +266,14 @@ class SkylineAlgorithm(abc.ABC):
                 front = pareto_front([s.perf for s in states])
                 states = [states[i] for i in front]
                 thin_span.set_attr(n_front=len(states))
-        entries = []
-        for state in sorted(states, key=lambda s: tuple(s.perf)):
-            entries.append(
-                SkylineEntry(
-                    state=state,
-                    perf=self.config.measures.as_dict(state.perf),
-                    output_size=self.config.space.output_size(state.bits),
-                    description=state.via or "s_U",
-                )
-            )
+        return self._result(states)
+
+    def _result(self, states: list[State]) -> DiscoveryResult:
+        """Wrap the finished ``states`` and this run's report."""
         return DiscoveryResult(
-            entries=entries,
+            entries=skyline_entries(
+                states, self.config.measures, self.config.space
+            ),
             measures=self.config.measures,
             report=self.report,
             running_graph=self.graph,

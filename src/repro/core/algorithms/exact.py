@@ -5,8 +5,8 @@ of a skyline generator T ... and valuate at most N possible states; (2)
 invoke a multi-objective optimizer such as Kung's algorithm." This is the
 ground-truth baseline the approximation algorithms are tested against: a
 full BFS over the running graph (both operator directions), valuation of
-every reachable state within the budget, an exact Pareto front via Kung's
-maxima algorithm, and the user-range filter of the skyline definition.
+every reachable state within the budget, the exact Pareto front of those
+states, and the user-range filter of the skyline definition.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .base import SkylineAlgorithm
 
 
 class ExactMODis(SkylineAlgorithm):
-    """Exhaustive valuation + Kung's algorithm (exact on valuated states)."""
+    """Exhaustive valuation + the exact Pareto front of the valuated states."""
 
     name = "ExactMODis"
 
@@ -65,7 +65,7 @@ class ExactMODis(SkylineAlgorithm):
                 if self.budget_exhausted:
                     self.report.terminated_by = "budget"
                     break
-        # Exact skyline over all valuated states (Kung's algorithm).
+        # Exact skyline over all valuated states.
         candidates = self._all_states
         if self.enforce_ranges:
             candidates = [
@@ -80,25 +80,7 @@ class ExactMODis(SkylineAlgorithm):
 
     def _make_result(self):
         """Assemble the exact front directly (no ε-grid approximation)."""
-        from .base import DiscoveryResult, SkylineEntry
-
-        entries = []
-        for state in sorted(self._front_states, key=lambda s: tuple(s.perf)):
-            entries.append(
-                SkylineEntry(
-                    state=state,
-                    perf=self.config.measures.as_dict(state.perf),
-                    output_size=self.config.space.output_size(state.bits),
-                    description=state.via or "s_U",
-                )
-            )
-        return DiscoveryResult(
-            entries=entries,
-            measures=self.config.measures,
-            report=self.report,
-            running_graph=self.graph,
-            epsilon=self.epsilon,
-        )
+        return self._result(self._front_states)
 
     @property
     def all_valuated_states(self) -> list[State]:

@@ -1,16 +1,18 @@
-"""Dominance relations, exact skylines (Kung's algorithm), and the ε-grid.
+"""Dominance relations, exact skylines, and the ε-grid.
 
 Implements Section 4's dominance/skyline definitions and Section 5.1's
 ε-machinery:
 
 * :func:`dominates` — Pareto dominance for minimize-me vectors;
+  :func:`dominated_mask` is the same relation, vectorized and blocked;
 * :func:`epsilon_dominates` — ``D' ⪰_ε D`` (every measure within a (1+ε)
   factor, at least one decisively no worse);
-* :func:`pareto_front` — exact maxima via blocked numpy broadcasted
-  dominance (a point survives iff nothing dominates it), used by
-  ExactMODis and by tests as ground truth; :func:`pareto_front_reference`
-  keeps the original Kung–Luccio–Preparata divide and conquer (reference
-  `[24]` of the paper) as the independent cross-check;
+* :func:`pareto_front` — the exact maxima (a point survives iff nothing
+  dominates it), computed by one kernel for every input size: the
+  sort-first skyline :func:`_sfs_front`. Kung's divide and conquer
+  (reference ``[24]`` of the paper) lives on as the test oracle in
+  ``tests/reference/dominance.py``;
+* :func:`is_skyline` — a checker for the Section 4 skyline conditions;
 * :class:`SkylineGrid` — the UPareto procedure of Algorithm 1: one
   representative state per ε-grid cell (Equation 1), replaced only when a
   newcomer strictly improves the decisive measure.
@@ -54,109 +56,44 @@ def epsilon_dominates(u: np.ndarray, v: np.ndarray, epsilon: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Kung's maxima algorithm (exact skyline)
+# Exact skyline: sort-first skyline over one blocked dominance primitive
 # ---------------------------------------------------------------------------
 
 
-def _front_2d(order: list[int], vectors: np.ndarray) -> list[int]:
-    """Skyline of presorted points in 2-D: single sweep on the 2nd coord.
-
-    Keeps second coordinates *within the tie tolerance* of the best seen
-    — under the tolerant :func:`dominates`, a near-tie is mutual
-    non-dominance, so dropping it here would disagree with the brute
-    force definition. Over-kept points that a predecessor genuinely
-    dominates (strictly better first coordinate) are pruned by
-    :func:`pareto_front`'s final tolerant filter.
-    """
-    best = np.inf
-    best_first = np.inf
-    front = []
-    for idx in order:
-        first, second = vectors[idx][0], vectors[idx][1]
-        if second < best - _TIE:
-            front.append(idx)
-            best, best_first = second, first
-        elif second <= best + _TIE and best_first >= first - _TIE:
-            # Near-tie with the best holder and not strictly worse on
-            # the presorted coordinate: mutual non-dominance. (The
-            # best-holder comparison also prunes the degenerate
-            # constant-second case that would otherwise balloon the
-            # caller's final filter.)
-            front.append(idx)
-            if second < best:
-                best, best_first = second, first
-    return front
-
-
-def _kung(order: list[int], vectors: np.ndarray) -> list[int]:
-    """Kung's divide & conquer over indices presorted by the first coord."""
-    if len(order) <= 1:
-        return list(order)
-    if vectors.shape[1] == 2:
-        return _front_2d(order, vectors)
-    mid = len(order) // 2
-    top = _kung(order[:mid], vectors)  # better (smaller) on dim 0
-    bottom = _kung(order[mid:], vectors)
-    # Keep bottom points not dominated by any top point.
-    survivors = [
-        b
-        for b in bottom
-        if not any(dominates(vectors[t], vectors[b]) for t in top)
-    ]
-    return top + survivors
-
-
-def dominated_mask(matrix: np.ndarray, block_rows: int = 256) -> np.ndarray:
-    """Boolean mask: entry ``i`` is True iff some row dominates row ``i``.
-
-    Broadcasted dominance in blocks of candidate dominators: each block
-    compares ``(b, 1, d)`` against ``(1, n, d)`` so peak extra memory is
-    ``O(block_rows · n · d)`` bools regardless of ``n``. Uses the same
-    ``_TIE``-tolerant :func:`dominates` semantics, vectorized.
-    """
-    n = matrix.shape[0]
-    dominated = np.zeros(n, dtype=bool)
-    upper = matrix[None, :, :] + _TIE
-    lower = matrix[None, :, :] - _TIE
-    for start in range(0, n, block_rows):
-        block = matrix[start:start + block_rows, None, :]
-        le = np.all(block <= upper, axis=-1)
-        lt = np.any(block < lower, axis=-1)
-        dominated |= (le & lt).any(axis=0)
-    return dominated
-
-
-#: Inputs at least this large take the sort-first-skyline path in
-#: :func:`pareto_front`; below it the plain blocked scan wins (the
-#: presort + two-pass bookkeeping costs more than it saves).
-SFS_MIN_POINTS = 513
-
-
-def _dominated_by_any(
-    candidates: np.ndarray, matrix: np.ndarray, block_rows: int = 256
+def dominated_mask(
+    candidates: np.ndarray,
+    dominators: np.ndarray | None = None,
+    block_rows: int = 256,
 ) -> np.ndarray:
-    """Mask over ``candidates`` rows: True where some ``matrix`` row
-    dominates that candidate (``_TIE``-tolerant, vectorized, blocked so
-    peak extra memory is ``O(n · block_rows · d)``)."""
-    m = candidates.shape[0]
-    out = np.zeros(m, dtype=bool)
-    dominators = matrix[:, None, :]
-    for start in range(0, m, block_rows):
+    """Mask over ``candidates`` rows: True where some ``dominators`` row
+    dominates that candidate (``dominators=None``: the candidates
+    themselves).
+
+    The :func:`dominates` semantics, ``_TIE`` tolerance included,
+    vectorized: blocks of candidates are broadcast against every
+    dominator, so peak extra memory is ``O(len(dominators) · block_rows ·
+    d)`` bools regardless of the candidate count.
+    """
+    if dominators is None:
+        dominators = candidates
+    out = np.zeros(candidates.shape[0], dtype=bool)
+    rows = dominators[:, None, :]
+    for start in range(0, candidates.shape[0], block_rows):
         block = candidates[None, start:start + block_rows, :]
-        le = np.all(dominators <= block + _TIE, axis=-1)
-        lt = np.any(dominators < block - _TIE, axis=-1)
+        le = np.all(rows <= block + _TIE, axis=-1)
+        lt = np.any(rows < block - _TIE, axis=-1)
         out[start:start + block_rows] = (le & lt).any(axis=0)
     return out
 
 
 def _sfs_front(matrix: np.ndarray, block_rows: int = 256) -> list[int]:
-    """Sort-first-skyline (SFS, survey arXiv:1704.01788) for large inputs.
+    """Sort-first-skyline (SFS, survey arXiv:1704.01788).
 
     Points are visited in ascending order of their objective *sum* — a
     dominator's sum is (up to the tie tolerance) never larger than its
     victim's, so almost every point is knocked out by comparing against
     the small set of survivors seen so far instead of the whole input:
-    ``O(f·n·d)`` work for a front of size ``f`` versus the plain scan's
+    ``O(f·n·d)`` work for a front of size ``f`` versus a plain scan's
     ``O(n²·d)``.
 
     The tolerant :func:`dominates` is *not* transitive and the sum order
@@ -165,22 +102,20 @@ def _sfs_front(matrix: np.ndarray, block_rows: int = 256) -> list[int]:
     prefilter, not the answer: it only ever discards points with a real
     dominator (always sound), and a final exact pass re-checks every
     survivor against the full input. The result is therefore exactly
-    ``{i : no j dominates i}`` — bit-identical to the plain scan and to
-    :func:`pareto_front_reference`.
+    ``{i : no j dominates i}`` — for one measure, the points within
+    ``_TIE`` of the minimum.
     """
-    n = matrix.shape[0]
     order = np.argsort(matrix.sum(axis=1), kind="stable")
     front_idx = np.empty(0, dtype=order.dtype)
     front_rows = np.empty((0, matrix.shape[1]), dtype=matrix.dtype)
-    for start in range(0, n, block_rows):
+    for start in range(0, matrix.shape[0], block_rows):
         chunk_idx = order[start:start + block_rows]
         chunk = matrix[chunk_idx]
-        alive = ~dominated_mask(chunk, block_rows)
-        if front_rows.shape[0]:
-            alive &= ~_dominated_by_any(chunk, front_rows, block_rows)
+        dominators = np.concatenate([front_rows, chunk])
+        alive = ~dominated_mask(chunk, dominators, block_rows)
         front_idx = np.concatenate([front_idx, chunk_idx[alive]])
         front_rows = np.concatenate([front_rows, chunk[alive]])
-    exact = ~_dominated_by_any(front_rows, matrix, block_rows)
+    exact = ~dominated_mask(front_rows, matrix, block_rows)
     return sorted(front_idx[exact].tolist())
 
 
@@ -189,61 +124,17 @@ def pareto_front(vectors: Sequence[np.ndarray]) -> list[int]:
 
     A point is kept iff no vector in the input dominates it (under the
     ``_TIE``-tolerant :func:`dominates`); duplicates of a skyline vector
-    are all kept (none dominates another). Computed with blocked numpy
-    broadcasting — ``O(n²d)`` arithmetic but no per-pair Python overhead
-    — or, past :data:`SFS_MIN_POINTS`, the sort-first-skyline prefilter
-    (:func:`_sfs_front`) that cuts the quadratic term to the front size.
-    :func:`pareto_front_reference` keeps the original Kung
-    divide-and-conquer sweep as the cross-check the property suite pins
-    this implementation against.
+    are all kept (none dominates another). Every input goes through the
+    sort-first skyline (:func:`_sfs_front`); the property suite pins it
+    against Kung's divide and conquer (reference ``[24]`` of the paper),
+    kept as a test oracle.
     """
     if len(vectors) == 0:
         return []
-    matrix = np.asarray([np.asarray(v, dtype=float) for v in vectors])
-    if matrix.ndim != 2:
+    rows = [np.asarray(v, dtype=float) for v in vectors]
+    if rows[0].ndim != 1 or any(r.shape != rows[0].shape for r in rows):
         raise SearchError("pareto_front expects same-length vectors")
-    if matrix.shape[1] == 1:
-        best = matrix[:, 0].min()
-        return np.flatnonzero(matrix[:, 0] <= best + _TIE).tolist()
-    if matrix.shape[0] >= SFS_MIN_POINTS:
-        return _sfs_front(matrix)
-    return np.flatnonzero(~dominated_mask(matrix)).tolist()
-
-
-def pareto_front_reference(vectors: Sequence[np.ndarray]) -> list[int]:
-    """The pre-columnar skyline: Kung's divide & conquer plus tolerance
-    repair passes. Kept as the independent reference implementation the
-    parity tests compare the vectorized :func:`pareto_front` against.
-    """
-    if len(vectors) == 0:
-        return []
-    matrix = np.asarray([np.asarray(v, dtype=float) for v in vectors])
-    if matrix.ndim != 2:
-        raise SearchError("pareto_front expects same-length vectors")
-    if matrix.shape[1] == 1:
-        best = matrix[:, 0].min()
-        return [i for i in range(len(matrix)) if matrix[i, 0] <= best + _TIE]
-    keys = [tuple(matrix[i]) for i in range(len(matrix))]
-    order = sorted(range(len(matrix)), key=lambda i: keys[i])
-    front = _kung(order, matrix)
-    # Divide and conquer can leave duplicates of the same point; also make
-    # the result order stable by original index.
-    front_set = sorted(set(front))
-    # Re-admit exact duplicates of front vectors (mutual non-dominance).
-    chosen = {keys[i] for i in front_set}
-    result = [i for i in range(len(matrix)) if keys[i] in chosen]
-    # The sweep orders by exact coordinates while dominates() grants a
-    # _TIE tolerance; points whose leading coordinates differ by less than
-    # the tolerance can both survive the sweep even though one
-    # tie-dominates the other. A final tolerant filter restores the
-    # invariant that front members are mutually non-dominated.
-    return [
-        i
-        for i in result
-        if not any(
-            j != i and dominates(matrix[j], matrix[i]) for j in result
-        )
-    ]
+    return _sfs_front(np.stack(rows))
 
 
 def is_skyline(vectors: Sequence[np.ndarray], candidate: Sequence[int]) -> bool:

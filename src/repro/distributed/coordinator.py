@@ -27,9 +27,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..core.algorithms.base import DiscoveryResult, AlgorithmReport, SkylineEntry
+from ..core.algorithms.base import AlgorithmReport, DiscoveryResult, skyline_entries
 from ..core.config import Configuration
 from ..core.dominance import SkylineGrid, pareto_front
+from ..core.estimator import oracle_artifact
 from ..core.state import State
 from ..core.transducer import RunningGraph
 from ..exceptions import SearchError
@@ -60,6 +61,18 @@ def merge_skylines(
         state = State(bits=item.bits, perf=item.perf, via=item.via)
         grid.update(state)
     states = [s for s in grid.states if s.perf is not None]
+    front = pareto_front([s.perf for s in states])
+    return [states[i] for i in front]
+
+
+def verify_front(states: list[State], oracle, space, measures) -> list[State]:
+    """Re-score merged states with the true oracle, then re-thin them —
+    the finishing step of both :class:`DistributedMODis` and sharded jobs."""
+    for state in states:
+        raw = oracle(oracle_artifact(space, oracle, state.bits))
+        state.perf = measures.normalize_raw(raw)
+    if not states:
+        return states
     front = pareto_front([s.perf for s in states])
     return [states[i] for i in front]
 
@@ -201,9 +214,11 @@ class DistributedMODis:
             shipped, self.coordinator_config.measures, self.epsilon
         )
         self.report.merge_seconds = time.perf_counter() - merge_start
-        if verify and self.coordinator_config.oracle is not None:
-            merged = self._verify(merged)
-        entries = self._entries(merged)
+        config = self.coordinator_config
+        if verify and config.oracle is not None:
+            merged = verify_front(
+                merged, config.oracle, config.space, config.measures
+            )
         graph = RunningGraph()
         for state in merged:
             graph.add_state(state)
@@ -229,40 +244,9 @@ class DistributedMODis:
             },
         )
         return DiscoveryResult(
-            entries=entries,
-            measures=self.coordinator_config.measures,
+            entries=skyline_entries(merged, config.measures, config.space),
+            measures=config.measures,
             report=algo_report,
             running_graph=graph,
             epsilon=self.epsilon,
         )
-
-    # -- helpers -------------------------------------------------------------------
-    def _verify(self, states: list[State]) -> list[State]:
-        """Re-score the merged skyline with the true oracle and re-thin."""
-        from ..core.estimator import oracle_artifact
-
-        oracle = self.coordinator_config.oracle
-        measures = self.coordinator_config.measures
-        space = self.coordinator_config.space
-        for state in states:
-            raw = oracle(oracle_artifact(space, oracle, state.bits))
-            state.perf = measures.normalize_raw(raw)
-        if not states:
-            return states
-        front = pareto_front([s.perf for s in states])
-        return [states[i] for i in front]
-
-    def _entries(self, states: list[State]) -> list[SkylineEntry]:
-        space = self.coordinator_config.space
-        measures = self.coordinator_config.measures
-        entries = []
-        for state in sorted(states, key=lambda s: tuple(s.perf)):
-            entries.append(
-                SkylineEntry(
-                    state=state,
-                    perf=measures.as_dict(state.perf),
-                    output_size=space.output_size(state.bits),
-                    description=state.via or "s_U",
-                )
-            )
-        return entries

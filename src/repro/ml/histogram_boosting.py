@@ -20,11 +20,10 @@ Two performance layers sit on top of the basic algorithm:
 * **Vectorized trees.** :class:`_HistTree` flattens itself into arrays and
   predicts all rows per level with numpy, and node histograms come from one
   flattened ``bincount`` over all features instead of one per feature. The
-  pre-vectorization implementation is retained as
-  :class:`_HistTreeReference`; the parity suite asserts the two produce
-  bit-identical trees, predictions, and ``split_work_`` on the same codes,
-  and ``benchmarks/bench_binned_oracle.py`` uses the reference as the
-  honest "legacy full-precision oracle" baseline.
+  parity suite asserts they produce bit-identical trees, predictions, and
+  ``split_work_`` to the pre-vectorization tree, a test oracle in
+  ``tests/reference/hist_tree.py`` that ``benchmarks/bench_binned_oracle.py``
+  also times as its "legacy full-precision oracle" baseline.
 
 Missing values are first-class: edges are computed over finite values only
 (``NaN``-safe quantiles) and ``NaN`` rows are routed to a dedicated null
@@ -106,7 +105,8 @@ class _HistNode:
 class _HistTree:
     """One histogram tree fit to (gradient, hessian) with Newton leaves.
 
-    Vectorized, with bit-identical results to :class:`_HistTreeReference`:
+    Vectorized, with bit-identical results to the scalar reference tree
+    (``tests/reference/hist_tree.py``):
 
     * node histograms come from one flattened ``bincount`` per statistic
       (codes offset per feature, row-major) — ``bincount`` accumulates
@@ -261,101 +261,6 @@ class _HistTree:
         return self._flat_value[position]
 
 
-class _HistTreeReference:
-    """The pre-vectorization histogram tree, kept verbatim.
-
-    Two jobs: (a) the parity suite proves :class:`_HistTree` reproduces it
-    bit-for-bit, so the vectorization can never silently change T4's
-    learner; (b) ``benchmarks/bench_binned_oracle.py`` swaps it in to time
-    the legacy full-precision oracle path honestly (scalar per-row
-    prediction walks, per-feature histogram loops) — the same role
-    ``pareto_front_reference`` plays for the dominance kernel.
-    """
-
-    def __init__(
-        self,
-        max_depth: int,
-        min_samples_leaf: int,
-        l2: float,
-        max_bins: int,
-    ):
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.l2 = l2
-        self.max_bins = max_bins
-        self.root_: _HistNode | None = None
-        self.split_work_ = 0.0
-        self.feature_gains_: np.ndarray | None = None
-
-    def fit(self, binned: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> None:
-        idx = np.arange(binned.shape[0])
-        self.feature_gains_ = np.zeros(binned.shape[1])
-        self.root_ = self._grow(binned, grad, hess, idx, 0)
-
-    def _leaf_value(self, grad, hess, idx) -> float:
-        g, h = grad[idx].sum(), hess[idx].sum()
-        return float(-g / (h + self.l2))
-
-    def _grow(self, binned, grad, hess, idx, depth) -> _HistNode:
-        node = _HistNode(value=self._leaf_value(grad, hess, idx))
-        if depth >= self.max_depth or len(idx) < 2 * self.min_samples_leaf:
-            return node
-        g_total, h_total = grad[idx].sum(), hess[idx].sum()
-        parent_score = g_total**2 / (h_total + self.l2)
-        best_gain, best_f, best_bin = 1e-10, -1, -1
-        n_features = binned.shape[1]
-        for f in range(n_features):
-            codes = binned[idx, f]
-            n_bins = int(codes.max()) + 1 if len(codes) else 1
-            if n_bins < 2:
-                continue
-            self.split_work_ += len(idx) + n_bins
-            g_hist = np.bincount(codes, weights=grad[idx], minlength=n_bins)
-            h_hist = np.bincount(codes, weights=hess[idx], minlength=n_bins)
-            c_hist = np.bincount(codes, minlength=n_bins)
-            g_left = np.cumsum(g_hist)[:-1]
-            h_left = np.cumsum(h_hist)[:-1]
-            c_left = np.cumsum(c_hist)[:-1]
-            c_right = len(idx) - c_left
-            valid = (c_left >= self.min_samples_leaf) & (
-                c_right >= self.min_samples_leaf
-            )
-            if not valid.any():
-                continue
-            g_right = g_total - g_left
-            h_right = h_total - h_left
-            gains = (
-                g_left**2 / (h_left + self.l2)
-                + g_right**2 / (h_right + self.l2)
-                - parent_score
-            )
-            gains[~valid] = -np.inf
-            b = int(np.argmax(gains))
-            if gains[b] > best_gain:
-                best_gain, best_f, best_bin = float(gains[b]), f, b
-        if best_f < 0:
-            return node
-        self.feature_gains_[best_f] += best_gain
-        mask = binned[idx, best_f] <= best_bin
-        node.feature = best_f
-        node.bin_threshold = best_bin
-        node.left = self._grow(binned, grad, hess, idx[mask], depth + 1)
-        node.right = self._grow(binned, grad, hess, idx[~mask], depth + 1)
-        return node
-
-    def predict(self, binned: np.ndarray) -> np.ndarray:
-        out = np.empty(binned.shape[0])
-        for i in range(binned.shape[0]):
-            node = self.root_
-            while not node.is_leaf:
-                if binned[i, node.feature] <= node.bin_threshold:
-                    node = node.left
-                else:
-                    node = node.right
-            out[i] = node.value
-        return out
-
-
 def _as_codes(X: "np.ndarray | PreBinned", edges) -> np.ndarray:
     """The bin-code matrix for a fit/predict input."""
     if isinstance(X, PreBinned):
@@ -368,8 +273,9 @@ def _as_codes(X: "np.ndarray | PreBinned", edges) -> np.ndarray:
     return apply_bins(X, edges)
 
 
-class HistGradientBoostingRegressor(Regressor):
-    """LightGBM-style regressor: binned features + Newton boosting."""
+class _HistBoosting:
+    """What the regressor and the classifier share: hyperparameters,
+    fit-time binning, tree growth, importances and training cost."""
 
     _allow_nan = True
     accepts_prebinned = True
@@ -391,8 +297,7 @@ class HistGradientBoostingRegressor(Regressor):
         self.min_samples_leaf = min_samples_leaf
         self.l2 = float(l2)
         self.max_bins = int(max_bins)
-        self.init_: float = 0.0
-        self._trees: list[_HistTree] = []
+        self._trees: list = []
         self._edges: list[np.ndarray] | None = None
 
     def _binned_input(self, X) -> np.ndarray:
@@ -403,6 +308,37 @@ class HistGradientBoostingRegressor(Regressor):
         self._edges = quantile_bin_edges(X, self.max_bins)
         return apply_bins(X, self._edges)
 
+    def _grow_tree(self, binned, grad, hess) -> _HistTree:
+        """One histogram tree fit to (gradient, hessian)."""
+        tree = _HistTree(
+            self.max_depth, self.min_samples_leaf, self.l2, self.max_bins
+        )
+        tree.fit(binned, grad, hess)
+        return tree
+
+    def _all_trees(self) -> list[_HistTree]:
+        """Every fitted tree, in boosting order."""
+        return self._trees
+
+    @property
+    def feature_importances_(self) -> np.ndarray:
+        """Split-gain importances summed over all trees, normalized."""
+        trees = self._all_trees()
+        total = np.zeros_like(trees[0].feature_gains_)
+        for tree in trees:
+            total += tree.feature_gains_
+        s = total.sum()
+        return total / s if s > 0 else total
+
+    def _cost(self, n, d):
+        return sum(t.split_work_ for t in self._all_trees())
+
+
+class HistGradientBoostingRegressor(_HistBoosting, Regressor):
+    """LightGBM-style regressor: binned features + Newton boosting."""
+
+    init_: float = 0.0
+
     def _fit(self, X, y, rng):
         y = y.astype(float)
         binned = self._binned_input(X)
@@ -412,10 +348,7 @@ class HistGradientBoostingRegressor(Regressor):
         self._trees = []
         for _ in range(self.n_estimators):
             grad = current - y  # d/df 0.5(f-y)^2
-            tree = _HistTree(
-                self.max_depth, self.min_samples_leaf, self.l2, self.max_bins
-            )
-            tree.fit(binned, grad, hess)
+            tree = self._grow_tree(binned, grad, hess)
             current = current + self.learning_rate * tree.predict(binned)
             self._trees.append(tree)
 
@@ -427,52 +360,10 @@ class HistGradientBoostingRegressor(Regressor):
         return out
 
 
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        """Split-gain importances summed over trees, normalized to sum 1."""
-        total = np.zeros_like(self._trees[0].feature_gains_)
-        for tree in self._trees:
-            total += tree.feature_gains_
-        s = total.sum()
-        return total / s if s > 0 else total
-
-    def _cost(self, n, d):
-        return sum(t.split_work_ for t in self._trees)
-
-
-class HistGradientBoostingClassifier(Classifier):
+class HistGradientBoostingClassifier(_HistBoosting, Classifier):
     """LightGBM-style classifier (logistic loss; softmax for K > 2)."""
 
-    _allow_nan = True
-    accepts_prebinned = True
-
-    def __init__(
-        self,
-        n_estimators: int = 60,
-        learning_rate: float = 0.1,
-        max_depth: int = 4,
-        min_samples_leaf: int = 3,
-        l2: float = 1.0,
-        max_bins: int = 64,
-        seed: int = 0,
-    ):
-        super().__init__(seed=seed)
-        self.n_estimators = int(n_estimators)
-        self.learning_rate = float(learning_rate)
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.l2 = float(l2)
-        self.max_bins = int(max_bins)
-        self.init_raw_: np.ndarray | None = None
-        self._trees: list[list[_HistTree]] = []
-        self._edges: list[np.ndarray] | None = None
-
-    def _binned_input(self, X) -> np.ndarray:
-        if isinstance(X, PreBinned):
-            self._edges = list(X.edges) if X.edges is not None else None
-            return X.codes
-        self._edges = quantile_bin_edges(X, self.max_bins)
-        return apply_bins(X, self._edges)
+    init_raw_: np.ndarray | None = None
 
     def _fit(self, X, codes, rng):
         n = X.shape[0]
@@ -489,10 +380,7 @@ class HistGradientBoostingClassifier(Classifier):
                 p1 = sigmoid(raw[:, 1] - raw[:, 0])
                 grad = p1 - one_hot[:, 1]
                 hess = np.clip(p1 * (1 - p1), 1e-6, None)
-                tree = _HistTree(
-                    self.max_depth, self.min_samples_leaf, self.l2, self.max_bins
-                )
-                tree.fit(binned, grad, hess)
+                tree = self._grow_tree(binned, grad, hess)
                 raw[:, 1] += self.learning_rate * tree.predict(binned)
                 self._trees.append([tree])
             else:
@@ -501,13 +389,13 @@ class HistGradientBoostingClassifier(Classifier):
                 for j in range(k):
                     grad = proba[:, j] - one_hot[:, j]
                     hess = np.clip(proba[:, j] * (1 - proba[:, j]), 1e-6, None)
-                    tree = _HistTree(
-                        self.max_depth, self.min_samples_leaf, self.l2, self.max_bins
-                    )
-                    tree.fit(binned, grad, hess)
+                    tree = self._grow_tree(binned, grad, hess)
                     raw[:, j] += self.learning_rate * tree.predict(binned)
                     round_trees.append(tree)
                 self._trees.append(round_trees)
+
+    def _all_trees(self) -> list[_HistTree]:
+        return [tree for round_trees in self._trees for tree in round_trees]
 
     def _raw(self, X) -> np.ndarray:
         binned = _as_codes(X, self._edges)
@@ -526,21 +414,6 @@ class HistGradientBoostingClassifier(Classifier):
             p1 = sigmoid(raw[:, 1] - raw[:, 0])
             return np.column_stack([1 - p1, p1])
         return softmax(raw)
-
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        """Split-gain importances summed over all trees, normalized."""
-        first = self._trees[0][0].feature_gains_
-        total = np.zeros_like(first)
-        for round_trees in self._trees:
-            for tree in round_trees:
-                total += tree.feature_gains_
-        s = total.sum()
-        return total / s if s > 0 else total
-
-    def _cost(self, n, d):
-        return sum(t.split_work_ for rt in self._trees for t in rt)
 
 
 class MultiOutputHistGradientBoosting(Model):

@@ -174,6 +174,42 @@ class _OracleGuard:
         return self.oracle(artifact)
 
 
+def _lease_live(job: Job, now: float) -> bool:
+    """True while ``job``'s lease has an owner and has not expired."""
+    return (
+        job.lease_owner is not None
+        and job.lease_expires_at is not None
+        and job.lease_expires_at > now
+    )
+
+
+#: Every restart action, one count each in ``repro recover``'s report;
+#: ``drop`` is a snapshot that cannot be rebuilt into a job.
+RECOVERY_ACTIONS = (
+    "requeue", "retry", "fail-retry-budget", "remerge", "peer", "keep", "drop",
+)
+
+
+def recovery_action(
+    job: Job, max_retries: int, now: float, scheduler_id: str | None = None
+) -> str:
+    """What a restart does with one replayed job (see ``_recover``).
+
+    The one restart policy: ``Scheduler._recover`` acts on it and
+    ``repro recover`` reports it. ``peer`` means a live lease held by a
+    scheduler other than ``scheduler_id``; ``remerge`` a shard parent.
+    """
+    if job.terminal:
+        return "keep"
+    if job.lease_owner != scheduler_id and _lease_live(job, now):
+        return "peer"
+    if job.is_shard_parent:
+        return "remerge"
+    if job.state == JobState.RUNNING:
+        return "retry" if job.retries < max_retries else "fail-retry-budget"
+    return "requeue"
+
+
 def _queue_wait_span(job: Job) -> dict[str, Any] | None:
     """A synthetic span covering submission → first worker pickup.
 
@@ -578,17 +614,17 @@ class Scheduler:
                 continue
             stats["replayed"] += 1
             self._track(job)
-            if job.terminal:
+            action = recovery_action(
+                job, self.max_retries, now, self.scheduler_id
+            )
+            if action == "keep":
                 stats["restored_terminal"] += 1
                 continue
-            if (
-                job.lease_owner not in (None, self.scheduler_id)
-                and self._lease_live(job, now)
-            ):
+            if action == "peer":
                 # A live peer owns this job: track it, don't touch it.
                 stats["remote_leases"] += 1
                 continue
-            if job.is_shard_parent:
+            if action == "remerge":
                 # Parents never enter the queue; merging is re-elected
                 # after replay once every child is terminal. A crash
                 # mid-merge costs a re-merge, not a retry charge — the
@@ -599,7 +635,7 @@ class Scheduler:
                 stats["shard_parents"] += 1
                 self._acquire_lease(job)
                 continue
-            interrupted = job.state == JobState.RUNNING
+            interrupted = action != "requeue"
             if interrupted:
                 # The retried/terminal record is appended *before* the
                 # compaction below, so even a crash during recovery
@@ -1305,14 +1341,6 @@ class Scheduler:
             logger.warning("journal compaction failed", exc_info=True)
 
     # -- journal leases ----------------------------------------------------------
-    def _lease_live(self, job: Job, now: float) -> bool:
-        """True while ``job``'s lease has an owner and has not expired."""
-        return (
-            job.lease_owner is not None
-            and job.lease_expires_at is not None
-            and job.lease_expires_at > now
-        )
-
     def _acquire_lease(self, job: Job, action: str = "acquired") -> None:
         """Claim (or renew) ``job`` for this scheduler (lock held).
 
@@ -1359,7 +1387,7 @@ class Scheduler:
             return any(
                 not job.terminal
                 and job.lease_owner not in (None, self.scheduler_id)
-                and self._lease_live(job, now)
+                and _lease_live(job, now)
                 for job in self.jobs.values()
             )
 
@@ -1453,7 +1481,7 @@ class Scheduler:
                     continue
                 if (
                     job.lease_owner not in (None, self.scheduler_id)
-                    and self._lease_live(job, now)
+                    and _lease_live(job, now)
                 ):
                     # Still under a live foreign lease: track read-only.
                     self._track(job)
@@ -1964,7 +1992,7 @@ class Scheduler:
             if (
                 state not in JobState.TERMINAL
                 and job.lease_owner == self.scheduler_id
-                and self._lease_live(job, snap["now"])
+                and _lease_live(job, snap["now"])
             ):
                 leases_held += 1
         return {

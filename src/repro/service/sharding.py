@@ -26,16 +26,16 @@ so shard results survive the journal, the process backend's pipe, and
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..distributed.coordinator import merge_skylines
+from ..core.algorithms.base import skyline_entries
+from ..distributed.coordinator import merge_skylines, verify_front
 from ..distributed.partition import partition_frontier
 from ..distributed.worker import ShippedState, WorkerJob, run_worker_job
-import contextlib
-
 from ..exceptions import ServiceError
 from ..obs import ProgressEmitter, SpanCollector, span, use_collector, use_emitter
 from ..obs.profiling import profile_to_file
@@ -164,9 +164,9 @@ def merge_shard_results(
     """Fold every shard's local skyline into the parent's result payload.
 
     The union is sorted by bitmap before the grid pass (see the module
-    docstring), optionally re-scored against the true oracle (the same
-    finishing step :class:`~repro.distributed.DistributedMODis` applies;
-    defaults to the spec's ``verify`` flag), and rendered in the exact
+    docstring), optionally re-scored against the true oracle by
+    :func:`~repro.distributed.coordinator.verify_front` (defaults to the
+    spec's ``verify`` flag), and rendered in the exact
     shape of :func:`repro.report.build_payload` — ``GET /v1/results/{id}``
     looks the same for sharded and ordinary jobs.
     """
@@ -186,31 +186,23 @@ def merge_shard_results(
     merge_start = time.perf_counter()
     merged = merge_skylines([shipped], measures, spec.epsilon)
     if verify and merged:
-        from ..core.dominance import pareto_front
-        from ..core.estimator import oracle_artifact
-
-        config = task.build_config(
+        oracle = task.build_config(
             estimator=spec.estimator, n_bootstrap=spec.n_bootstrap
-        )
-        oracle = config.oracle
+        ).oracle
         if oracle is not None:
-            for state in merged:
-                raw = oracle(oracle_artifact(task.space, oracle, state.bits))
-                state.perf = measures.normalize_raw(raw)
-            front = pareto_front([s.perf for s in merged])
-            merged = [merged[i] for i in front]
-    entries = []
-    for state in sorted(
-        merged, key=lambda s: (tuple(s.perf), s.bits)
-    ):
-        entries.append(
-            {
-                "description": state.via or "s_U",
-                "bits": hex(state.bits),
-                "performance": measures.as_dict(state.perf),
-                "output_size": list(task.space.output_size(state.bits)),
-            }
-        )
+            merged = verify_front(merged, oracle, task.space, measures)
+    # Entries are ordered by (performance, bitmap): skyline_entries'
+    # stable sort keeps this bitmap order among equal performances.
+    merged.sort(key=lambda state: state.bits)
+    entries = [
+        {
+            "description": entry.description,
+            "bits": hex(entry.bits),
+            "performance": entry.perf,
+            "output_size": list(entry.output_size),
+        }
+        for entry in skyline_entries(merged, measures, task.space)
+    ]
     return {
         "algorithm": SHARDED_ALGORITHM,
         "epsilon": spec.epsilon,

@@ -5,9 +5,9 @@ Two invariants gate this PR's vectorizations:
 
 * ``TabularSearchSpace.row_mask`` (stacked bool matrix + reduceat) must
   equal the original bit-by-bit Python walk on every bitmap;
-* the broadcasted :func:`pareto_front` must equal the retained Kung
-  divide-and-conquer :func:`pareto_front_reference` on arbitrary inputs,
-  including duplicated and tied rows.
+* :func:`pareto_front` must equal the Kung divide-and-conquer
+  :func:`pareto_front_reference` (``tests/reference/dominance.py``) on
+  arbitrary inputs, including duplicated and tied rows.
 """
 
 from __future__ import annotations
@@ -16,16 +16,12 @@ import numpy as np
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.dominance import (
-    _sfs_front,
-    dominated_mask,
-    pareto_front,
-    pareto_front_reference,
-)
+from repro.core.dominance import _sfs_front, dominated_mask, pareto_front
 from repro.core.transducer import TabularSearchSpace
 from repro.relational.schema import Attribute, CATEGORICAL, NUMERIC, Schema
 from repro.relational.table import Table
 from repro.rng import make_rng
+from tests.reference.dominance import pareto_front_reference
 
 
 def _space_from_seed(seed: int) -> TabularSearchSpace:
@@ -121,14 +117,11 @@ def test_vectorized_pareto_front_matches_kung_reference(vectors):
 @given(_front_inputs(min_count=1), st.integers(min_value=1, max_value=8))
 @settings(max_examples=150, deadline=None)
 def test_sfs_front_matches_plain_scan_and_reference(vectors, block_rows):
-    """The sort-first-skyline path (gated in above ``SFS_MIN_POINTS``,
-    called directly here so arbitrary small inputs exercise it) must be
-    bit-identical to the plain blocked scan and the Kung reference —
-    tiny ``block_rows`` values force survivors to straddle chunk
-    boundaries."""
+    """The sort-first skyline behind :func:`pareto_front` must be
+    bit-identical to the plain blocked scan and the Kung reference at any
+    chunk size — tiny ``block_rows`` values force survivors to straddle
+    chunk boundaries."""
     matrix = np.asarray([np.array(v) for v in vectors])
-    if matrix.ndim != 2 or matrix.shape[1] < 2:
-        return  # 1-D inputs take the dedicated min fast path
     sfs = _sfs_front(matrix, block_rows=block_rows)
     assert sfs == np.flatnonzero(~dominated_mask(matrix)).tolist()
     assert sfs == sorted(pareto_front_reference(list(matrix)))

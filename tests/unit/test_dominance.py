@@ -1,10 +1,9 @@
-"""Unit tests for dominance, Kung's skyline, and the UPareto grid."""
+"""Unit tests for dominance, the exact skyline, and the UPareto grid."""
 
 import numpy as np
 import pytest
 
 from repro.core.dominance import (
-    SFS_MIN_POINTS,
     SkylineGrid,
     _sfs_front,
     dominated_mask,
@@ -12,11 +11,11 @@ from repro.core.dominance import (
     epsilon_dominates,
     is_skyline,
     pareto_front,
-    pareto_front_reference,
 )
 from repro.core.measures import Measure, MeasureSet
 from repro.core.state import State
 from repro.exceptions import SearchError
+from tests.reference.dominance import pareto_front_reference
 
 
 def V(*xs):
@@ -102,35 +101,34 @@ class TestParetoFront:
         assert is_skyline(vectors, front)
         assert not is_skyline(vectors, [3])  # dominated point
 
+    def test_ragged_vectors_rejected(self):
+        with pytest.raises(SearchError, match="same-length vectors"):
+            pareto_front([V(1.0, 2.0), V(1.0)])
+        with pytest.raises(SearchError, match="same-length vectors"):
+            pareto_front([np.float64(0.5), np.float64(0.2)])
+
 
 class TestSFSFront:
-    """The sort-first-skyline fast path must be bit-identical to both the
-    plain blocked scan and the Kung reference, including the adversarial
-    cases the sum-presort does not align with: duplicates, ties inside
-    the ``_TIE`` band, and anti-correlated fronts."""
+    """:func:`pareto_front` runs the sort-first skyline on every input and
+    must be index-identical to both the plain blocked scan and the Kung
+    reference, including the adversarial cases the sum-presort does not
+    align with: duplicates, ties inside the ``_TIE`` band, and
+    anti-correlated fronts."""
 
-    def plain(self, matrix):
-        return np.flatnonzero(~dominated_mask(matrix)).tolist()
-
-    def test_gated_in_for_large_inputs(self):
-        rng = np.random.default_rng(2)
-        matrix = rng.random((SFS_MIN_POINTS, 3))
-        vectors = list(matrix)
-        assert pareto_front(vectors) == self.plain(matrix)
-        assert pareto_front(vectors) == sorted(
-            pareto_front_reference(vectors)
-        )
+    def check(self, matrix):
+        front = pareto_front(list(matrix))
+        assert front == np.flatnonzero(~dominated_mask(matrix)).tolist()
+        assert front == sorted(pareto_front_reference(list(matrix)))
+        return front
 
     def test_random_matches_plain_scan(self):
         rng = np.random.default_rng(3)
         for d in (2, 3, 5):
-            matrix = rng.random((700, d))
-            assert _sfs_front(matrix) == self.plain(matrix)
+            self.check(rng.random((700, d)))
 
     def test_heavy_duplicates(self):
         rng = np.random.default_rng(4)
-        matrix = rng.integers(0, 3, (800, 3)).astype(float)
-        assert _sfs_front(matrix) == self.plain(matrix)
+        self.check(rng.integers(0, 3, (800, 3)).astype(float))
 
     def test_ties_inside_tolerance_band(self):
         # Coordinates jittered by less than _TIE: near-equal points are
@@ -139,28 +137,32 @@ class TestSFSFront:
         rng = np.random.default_rng(5)
         matrix = rng.random((600, 3))
         matrix += rng.choice([0.0, 5e-13, -5e-13], size=matrix.shape)
-        assert _sfs_front(matrix) == self.plain(matrix)
+        self.check(matrix)
 
     def test_anti_correlated_large_front(self):
         # Worst case for the prefilter (everything is on the front): the
         # exact repair pass must still reproduce the plain scan.
         rng = np.random.default_rng(6)
         base = rng.random(600)
-        matrix = np.column_stack([base, 1.0 - base])
-        assert _sfs_front(matrix) == self.plain(matrix)
+        self.check(np.column_stack([base, 1.0 - base]))
 
     def test_small_block_rows_chunk_boundaries(self):
         rng = np.random.default_rng(7)
         matrix = rng.integers(0, 5, (530, 4)).astype(float)
-        assert _sfs_front(matrix, block_rows=7) == self.plain(matrix)
+        assert _sfs_front(matrix, block_rows=7) == self.check(matrix)
 
     def test_matches_kung_reference(self):
         rng = np.random.default_rng(8)
-        matrix = rng.integers(0, 6, (520, 3)).astype(float)
-        vectors = list(matrix)
-        assert pareto_front(vectors) == sorted(
-            pareto_front_reference(vectors)
-        )
+        self.check(rng.integers(0, 6, (520, 3)).astype(float))
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 2, 38])
+    def test_small_inputs(self, n, d):
+        # The sizes real searches reach (at most 38 points per call)
+        # take the same kernel as the large cases above.
+        rng = np.random.default_rng(10 * n + d)
+        self.check(rng.random((n, d)))
+        self.check(rng.integers(0, 3, (n, d)).astype(float))
 
 
 class TestSkylineGrid:

@@ -8,9 +8,9 @@ Three contracts guard the binned oracle path:
 * **Pre-binned parity**: fitting on :class:`PreBinned` codes produced by
   the model's own binning scheme is bit-identical to fitting on the raw
   floats — the fast path changes cost, never the learner.
-* **Tree parity**: the vectorized :class:`_HistTree` reproduces
-  :class:`_HistTreeReference` (the pre-vectorization implementation)
-  bit-for-bit — trees, predictions, gains, and ``split_work_``.
+* **Tree parity**: the vectorized :class:`_HistTree` reproduces the
+  pre-vectorization tree (``tests/reference/hist_tree.py``) bit-for-bit —
+  trees, predictions, gains, and ``split_work_``.
 """
 
 import numpy as np
@@ -23,12 +23,12 @@ from repro.ml.histogram_boosting import (
     HistGradientBoostingRegressor,
     MultiOutputHistGradientBoosting,
     _HistTree,
-    _HistTreeReference,
     apply_bins,
     null_bin,
     quantile_bin_edges,
 )
 from repro.rng import make_rng
+from tests.reference.hist_tree import ReferenceHistTree, reference_hist_trees
 
 
 def dataset(seed=0, n=240, d=5):
@@ -122,7 +122,7 @@ class TestVectorizedTreeParity:
         hess = np.abs(rng.normal(size=300)) + 0.05
         fast = _HistTree(max_depth, min_samples_leaf, 1.0, 32)
         fast.fit(binned, grad, hess)
-        slow = _HistTreeReference(max_depth, min_samples_leaf, 1.0, 32)
+        slow = ReferenceHistTree(max_depth, min_samples_leaf, 1.0, 32)
         slow.fit(binned, grad, hess)
         assert fast.split_work_ == slow.split_work_
         assert np.array_equal(fast.feature_gains_, slow.feature_gains_)
@@ -131,16 +131,10 @@ class TestVectorizedTreeParity:
     def test_models_unchanged_by_vectorization(self):
         """End to end: boosted predictions match a reference-tree build
         bit for bit (this pins the T4 oracle's outputs)."""
-        import repro.ml.histogram_boosting as hb
-
         X, y = dataset(seed=5)
         fast = HistGradientBoostingClassifier(n_estimators=12, seed=2).fit(X, y)
-        original = hb._HistTree
-        hb._HistTree = hb._HistTreeReference
-        try:
+        with reference_hist_trees():
             slow = HistGradientBoostingClassifier(n_estimators=12, seed=2).fit(X, y)
-        finally:
-            hb._HistTree = original
         assert np.array_equal(fast.predict_proba(X), slow.predict_proba(X))
         assert fast.training_cost_ == slow.training_cost_
         assert np.array_equal(

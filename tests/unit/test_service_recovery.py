@@ -526,7 +526,9 @@ class TestJournalMechanics:
         assert journal.maybe_compact() is False  # back under budget
         assert len(JobJournal(tmp_path).replay().jobs) == len(jobs)
 
-    def test_unrecoverable_snapshot_is_dropped_not_fatal(self, tmp_path):
+    def test_unrecoverable_snapshot_is_dropped_not_fatal(
+        self, tmp_path, capsys
+    ):
         factory = StubFactory()
         factory.on("good", lambda: None)
         crashed = make_scheduler(factory, tmp_path)
@@ -548,6 +550,15 @@ class TestJournalMechanics:
         # stays on disk for a release that can read it.
         summary = JobJournal(tmp_path).replay()
         assert "job-broken-spec" in summary.jobs
+        # The offline report predicts the same drop.
+        from repro.cli import main
+
+        assert main([
+            "recover", "--journal-dir", str(tmp_path), "--dry-run", "--json",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        actions = {row["id"]: row["action"] for row in report["jobs"]}
+        assert actions == {good.id: "requeue", "job-broken-spec": "drop"}
 
     def test_unknown_additive_spec_fields_replay_fine(self, tmp_path):
         """The versioning contract: a journal written by a newer release
@@ -692,6 +703,58 @@ class TestRecoverCLI:
         assert actions[queued.id] == "requeue"
         assert report["actions"]["keep"] == 1
         assert report["actions"]["requeue"] == 1
+
+    def test_recover_dry_run_predicts_shard_parent_remerge(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.service.jobs import Job
+
+        parent = Job(
+            spec=spec("sharded"), shards=2, state=JobState.RUNNING, retries=2
+        )
+        with JobJournal(tmp_path) as journal:
+            journal.record_submitted(parent)
+        assert main([
+            "recover", "--journal-dir", str(tmp_path), "--dry-run", "--json",
+            "--max-retries", "2",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        actions = {row["id"]: row["action"] for row in report["jobs"]}
+        assert actions == {parent.id: "remerge"}
+        # ...which is what a restart does: a re-merge, no retry charged.
+        revived = make_scheduler(StubFactory(), tmp_path, max_retries=2)
+        recovery = revived.metrics()["journal"]["recovery"]
+        assert recovery["shard_parents"] == 1
+        assert recovery["failed_retry_budget"] == 0
+        assert revived.get(parent.id).state == JobState.QUEUED
+        assert revived.get(parent.id).retries == 2
+
+    def test_recover_dry_run_leaves_peer_leased_jobs_alone(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        factory = StubFactory()
+        factory.on("j1", lambda: None)
+        peer = make_scheduler(
+            factory, tmp_path, scheduler_id="sched-a", lease_ttl=300.0
+        )
+        job = peer.submit(spec("j1"))
+        assert main([
+            "recover", "--journal-dir", str(tmp_path), "--dry-run", "--json",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        actions = {row["id"]: row["action"] for row in report["jobs"]}
+        assert actions == {job.id: "peer"}
+        assert report["actions"]["requeue"] == 0
+        # ...which is what another scheduler on the same journal does.
+        observer = make_scheduler(
+            factory, tmp_path, scheduler_id="sched-b", lease_ttl=300.0
+        )
+        assert observer.metrics()["journal"]["recovery"]["remote_leases"] == 1
+        assert observer.queue.depth == 0
+        del peer
 
     def test_recover_compacts_and_writes_report(self, tmp_path, capsys):
         from repro.cli import main

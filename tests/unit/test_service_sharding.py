@@ -193,6 +193,25 @@ class TestShardIdentity:
         assert entries_of(sharded) == entries_of(single)
         assert entries_of(sharded)
 
+    def test_verified_merge_carries_oracle_truth(self):
+        # The shards search on surrogate estimates; the parent's merged
+        # entries must carry the oracle's normalized values instead.
+        from repro.core.estimator import oracle_artifact
+        from repro.scenarios.factory import ScenarioFactory
+
+        scenario = Scenario(**dict(EXHAUSTIVE, estimator="mogb", n_bootstrap=4))
+        with Scheduler(n_workers=2) as scheduler:
+            parent = scheduler.submit(scenario, shards=2)
+            job = scheduler.wait(parent.id, timeout=120)
+            assert job.state == "done", job.error
+        task = ScenarioFactory().resolve(scenario).task
+        oracle = task.build_config(estimator="oracle").oracle
+        assert job.result["entries"]
+        for entry in job.result["entries"]:
+            artifact = oracle_artifact(task.space, oracle, int(entry["bits"], 16))
+            truth = task.measures.normalize_raw(oracle(artifact))
+            assert entry["performance"] == task.measures.as_dict(truth)
+
     def test_merge_is_order_canonical(self):
         # Same shipped set, shards swapped: the merged payload may not
         # depend on which shard reported first.
