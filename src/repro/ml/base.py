@@ -110,6 +110,7 @@ class Model(abc.ABC):
         self.seed = int(seed)
         self.training_cost_: float = 0.0
         self.wall_time_: float = 0.0
+        self.n_features_in_: int = 0
         self._fitted = False
 
     # -- protocol ---------------------------------------------------------------
@@ -127,6 +128,18 @@ class Model(abc.ABC):
             return check_prebinned(X)
         return check_matrix(X, allow_nan=self._allow_nan)
 
+    def _check_fitted_features(self, X):
+        """Validate prediction input: fitted model, same feature count."""
+        if not self._fitted:
+            raise ModelError(f"{type(self).__name__} is not fitted")
+        X = self._check_features(X)
+        if X.shape[1] != self.n_features_in_:
+            raise ModelError(
+                f"X has {X.shape[1]} features; {type(self).__name__} "
+                f"was fitted on {self.n_features_in_}"
+            )
+        return X
+
     def fit(self, X, y) -> "Model":
         """Fit on (X, y); subclasses implement ``_fit``."""
         X = self._check_features(X)
@@ -136,14 +149,14 @@ class Model(abc.ABC):
         self._fit(X, y, rng)
         self.wall_time_ = time.perf_counter() - start
         self.training_cost_ = float(self._cost(X.shape[0], X.shape[1]))
+        self.n_features_in_ = X.shape[1]
         self._fitted = True
         return self
 
     def predict(self, X) -> np.ndarray:
-        """Predict for the rows of ``X`` (requires a prior ``fit``)."""
-        if not self._fitted:
-            raise ModelError(f"{type(self).__name__} is not fitted")
-        return self._predict(self._check_features(X))
+        """Predict for the rows of ``X`` (requires a prior ``fit`` on as
+        many features)."""
+        return self._predict(self._check_fitted_features(X))
 
     def get_params(self) -> dict[str, Any]:
         """Constructor parameters (anything not ending in ``_``)."""
@@ -197,9 +210,7 @@ class Classifier(Model):
 
     def predict_proba(self, X) -> np.ndarray:
         """Per-class probabilities aligned with ``classes_``."""
-        if not self._fitted:
-            raise ModelError(f"{type(self).__name__} is not fitted")
-        return self._predict_proba(self._check_features(X))
+        return self._predict_proba(self._check_fitted_features(X))
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self._predict_proba(X), axis=1)

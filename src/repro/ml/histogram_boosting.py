@@ -453,6 +453,8 @@ class MultiOutputHistGradientBoosting(Model):
         Y = np.asarray(Y, dtype=float)
         if Y.ndim == 1:
             Y = Y[:, None]
+        if Y.ndim != 2 or Y.shape[1] == 0:
+            raise ModelError(f"Y must be (n, k) with k >= 1, got shape {Y.shape}")
         if X.shape[0] != Y.shape[0]:
             raise ModelError(f"X rows {X.shape[0]} != Y rows {Y.shape[0]}")
         self.n_outputs_ = Y.shape[1]
@@ -468,15 +470,13 @@ class MultiOutputHistGradientBoosting(Model):
             gb.fit(X, Y[:, j])
             self.estimators_.append(gb)
         self.training_cost_ = sum(e.training_cost_ for e in self.estimators_)
+        self.n_features_in_ = X.shape[1]
         self._fitted = True
         return self
 
     def predict(self, X) -> np.ndarray:
         """(n, n_outputs) predictions — one call covers all measures."""
-        if not self._fitted:
-            raise ModelError("MultiOutputHistGradientBoosting is not fitted")
-        if not isinstance(X, PreBinned):
-            X = np.asarray(X, dtype=float)
+        X = self._check_fitted_features(X)
         return np.column_stack([e.predict(X) for e in self.estimators_])
 
     # Model abstract hooks are unused because fit/predict are overridden,

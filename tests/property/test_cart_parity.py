@@ -141,6 +141,9 @@ def test_boosting_matches_scalar_kernel(data, kw):
     X, y, labels, X_eval = data
     kw["max_depth"] = min(kw["max_depth"], 4)
     _assert_parity(lambda: GradientBoostingRegressor(n_estimators=4, **kw), X, y, X_eval)
+    _assert_parity(
+        lambda: GradientBoostingRegressor(n_estimators=4, subsample=0.5, **kw), X, y, X_eval
+    )
     _assert_parity(lambda: GradientBoostingClassifier(n_estimators=3, **kw), X, labels, X_eval)
     Y = np.column_stack([y, labels.astype(float)])
     _assert_parity(
@@ -182,7 +185,11 @@ def test_near_tie_keeps_the_first_record():
 def test_surrogate_sweep_matches_scalar_kernel():
     """MO-GBM on bitmap states with real-valued targets, the surrogate's
     shape. Sums squared with array ``**`` instead of C ``pow`` round
-    differently in ~0.1% of values; this sweep is large enough to see it."""
+    differently in ~0.1% of values; this sweep is large enough to see it.
+
+    The second sweep is the surrogate as the search fits it: 4–20 history
+    rows of 50–62 bitmap features, 4–6 measures (one of them constant in
+    one case), 40 rounds at depth 3, and a one-row predict."""
     for seed in range(40):
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(20, 120)), int(rng.integers(2, 8))
@@ -190,4 +197,17 @@ def test_surrogate_sweep_matches_scalar_kernel():
         Y = rng.normal(size=(n, 3))
         _assert_parity(
             lambda: MultiOutputGradientBoosting(n_estimators=10, seed=seed), X, Y, X
+        )
+    for seed, n in enumerate((4, 7, 11, 15, 18, 20)):
+        rng = np.random.default_rng(100 + seed)
+        d, k = int(rng.integers(50, 63)), int(rng.integers(4, 7))
+        X = rng.integers(0, 2, (n, d)).astype(float)
+        Y = rng.uniform(size=(n, k))
+        if seed == 2:
+            Y[:, 1] = 0.5
+        _assert_parity(
+            lambda: MultiOutputGradientBoosting(n_estimators=40, max_depth=3, seed=seed),
+            X,
+            Y,
+            X[rng.integers(n)][None, :],
         )

@@ -2,13 +2,15 @@
 
 These are the node growth with one split scan per feature and the
 row-at-a-time predict that ``repro.ml.tree`` shipped before its node scan
-was vectorized, kept verbatim.
+was vectorized, kept verbatim, and boosting as it was before its rounds
+were grown together: one tree at a time, each grown depth first and
+predicted on its own.
 The property tests compare every tree against them bit for bit, and
 ``benchmarks/bench_binned_oracle.py`` times its exact-split baseline on them.
 
 ``scalar_cart()`` swaps them in for the duration of a ``with`` block by
-patching ``repro.ml.tree._TreeCore``; trees fitted inside the block keep
-the scalar predict afterwards.
+patching ``repro.ml.tree._TreeCore``; trees and boosted ensembles fitted
+inside the block keep the scalar predict afterwards.
 """
 
 from __future__ import annotations
@@ -146,6 +148,25 @@ class ScalarTreeCore(tree._TreeCore):
         )
         return node
 
+    @classmethod
+    def grow_round(cls, X, targets, rows, max_depth, min_samples_leaf):
+        """Each of the round's trees fitted alone on ``X[rows]``, then
+        predicted on all of ``X``."""
+        cores, fitted = [], []
+        for y in targets:
+            core = cls(max_depth, 2, min_samples_leaf, None)
+            if rows is None:
+                core.grow(X, y, None, classification=False)
+            else:
+                core.grow(X[rows], y[rows], None, classification=False)
+            cores.append(core)
+            fitted.append(core.predict_values(X)[:, 0])
+        return cores, np.array(fitted)
+
+    @classmethod
+    def pack(cls, rounds):
+        return ScalarTrees(rounds)
+
     def predict_values(self, X: np.ndarray) -> np.ndarray:
         """Per-row leaf prediction vectors, stacked (n, k)."""
         out = np.empty((X.shape[0], len(self.root_.prediction)))
@@ -155,6 +176,26 @@ class ScalarTreeCore(tree._TreeCore):
                 node = node.left if X[i, node.feature] <= node.threshold else node.right
             out[i] = node.prediction
         return out
+
+
+class ScalarTrees:
+    """A (rounds, k) grid of trees, each predicted by its own row walk."""
+
+    def __init__(self, rounds):
+        self.rounds = rounds
+
+    def column(self, j: int) -> "ScalarTrees":
+        return ScalarTrees([[cores[j]] for cores in self.rounds])
+
+    def stages(self, X: np.ndarray, init: np.ndarray, learning_rate: float) -> np.ndarray:
+        """Scores before the first round and after each, one tree at a time."""
+        out = np.repeat(init[:, None], X.shape[0], axis=1)
+        stages = [out.copy()]
+        for cores in self.rounds:
+            for j, core in enumerate(cores):
+                out[j] += learning_rate * core.predict_values(X)[:, 0]
+            stages.append(out.copy())
+        return np.array(stages)
 
 
 @contextmanager

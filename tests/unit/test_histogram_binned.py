@@ -170,6 +170,17 @@ class TestPreBinnedTraining:
         with pytest.raises(ModelError, match="pre-binned"):
             model.predict(X)
 
+    def test_prebinned_predict_rejects_other_feature_counts(self):
+        X, y = dataset()
+        codes = apply_bins(X, quantile_bin_edges(X, 64)).astype(np.uint8)
+        model = HistGradientBoostingClassifier(n_estimators=3, seed=0).fit(
+            PreBinned(codes=codes), y
+        )
+        wider = np.hstack([codes, codes[:, :1]])
+        for other in (codes[:, :-1], wider):
+            with pytest.raises(ModelError, match="features"):
+                model.predict(PreBinned(codes=other))
+
     def test_non_histogram_models_reject_prebinned(self):
         from repro.ml.linear import LinearRegression
 

@@ -25,6 +25,7 @@ from repro.ml import (
     accuracy,
     r2_score,
 )
+from repro.ml.histogram_boosting import MultiOutputHistGradientBoosting
 from repro.rng import make_rng
 
 REGRESSORS = [
@@ -84,6 +85,13 @@ class TestRegressors:
         with pytest.raises(ModelError, match="not fitted"):
             factory(seed=0).predict(X)
 
+    def test_predict_rejects_other_feature_counts(self, factory, regression_data):
+        X, y = regression_data
+        model = factory(seed=0).fit(X[:, :3], y)
+        for width in (2, 5):
+            with pytest.raises(ModelError, match="fitted on 3"):
+                model.predict(X[:, :width])
+
 
 @pytest.mark.parametrize("factory", CLASSIFIERS)
 class TestClassifiers:
@@ -110,6 +118,15 @@ class TestClassifiers:
         X, _ = classification_data
         with pytest.raises(ModelError):
             factory(seed=0).fit(X, np.zeros(X.shape[0]))
+
+    def test_predict_rejects_other_feature_counts(self, factory, classification_data):
+        X, y = classification_data
+        model = factory(seed=0).fit(X[:, :3], y)
+        for width in (2, 5):
+            with pytest.raises(ModelError, match="fitted on 3"):
+                model.predict(X[:, :width])
+            with pytest.raises(ModelError, match="fitted on 3"):
+                model.predict_proba(X[:, :width])
 
 
 class TestInputValidation:
@@ -232,3 +249,33 @@ class TestMultiOutput:
     def test_predict_before_fit(self):
         with pytest.raises(ModelError):
             MultiOutputGradientBoosting().predict(np.zeros((1, 2)))
+
+    @pytest.mark.parametrize(
+        "backbone", [MultiOutputGradientBoosting, MultiOutputHistGradientBoosting]
+    )
+    def test_zero_outputs_rejected(self, backbone):
+        with pytest.raises(ModelError, match="k >= 1"):
+            backbone(n_estimators=3).fit(np.zeros((5, 2)), np.zeros((5, 0)))
+
+    @pytest.mark.parametrize(
+        "backbone", [MultiOutputGradientBoosting, MultiOutputHistGradientBoosting]
+    )
+    def test_predict_rejects_other_feature_counts(self, backbone):
+        rng = make_rng(12)
+        X = rng.normal(size=(40, 5))
+        mo = backbone(n_estimators=5).fit(X[:, :3], X[:, 3:])
+        assert mo.predict(X[:, :3]).shape == (40, 2)
+        for width in (2, 5):
+            with pytest.raises(ModelError, match="fitted on 3"):
+                mo.predict(X[:, :width])
+
+    def test_output_ensembles_match_the_joint_predict(self):
+        rng = make_rng(13)
+        X = rng.integers(0, 2, size=(15, 30)).astype(float)
+        Y = rng.uniform(size=(15, 4))
+        mo = MultiOutputGradientBoosting(n_estimators=10).fit(X, Y)
+        joint = mo.predict(X)
+        for j, gb in enumerate(mo.estimators_):
+            assert np.array_equal(gb.predict(X), joint[:, j])
+            assert np.array_equal(gb.staged_predict(X)[-1], joint[:, j])
+        assert mo.training_cost_ == sum(gb.training_cost_ for gb in mo.estimators_)
