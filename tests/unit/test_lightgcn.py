@@ -13,6 +13,7 @@ from repro.graph import (
     split_edges,
     train_and_evaluate,
 )
+from repro.graph.lightgcn import sample_negatives
 from repro.rng import make_rng
 
 
@@ -79,6 +80,71 @@ class TestLightGCN:
         model = LightGCN(epochs=3, seed=0).fit(g)
         recs = model.recommend_all(3)
         assert all(len(v) == 3 for v in recs.values())
+
+    def test_recommend_never_returns_seen_items(self):
+        g = BipartiteGraph(1, 6, [Edge(0, i) for i in range(5)])
+        model = LightGCN(epochs=3, seed=0).fit(g)
+        assert model.recommend(0, 3) == [5]
+        assert len(model.recommend(0, 3, exclude_training=False)) == 3
+
+    def test_recommend_all_for_a_user_who_saw_everything(self):
+        g = BipartiteGraph(2, 3, [Edge(0, 0), Edge(0, 1), Edge(0, 2), Edge(1, 0)])
+        recs = LightGCN(epochs=3, seed=0).fit(g).recommend_all(2)
+        assert recs[0] == []
+        assert len(recs[1]) == 2 and 0 not in recs[1]
+
+    @pytest.mark.parametrize("user", [-1, 30, 31])
+    def test_scores_and_recommend_reject_unknown_users(self, user):
+        model = LightGCN(epochs=2, seed=0).fit(community_graph())
+        with pytest.raises(ModelError, match="outside"):
+            model.scores(user)
+        with pytest.raises(ModelError, match="outside"):
+            model.recommend(user, 3)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"embedding_dim": 0},
+            {"layers": -1},
+            {"epochs": -3},
+            {"n_neg_per_pos": 0},
+            {"epochs": -3, "embedding_dim": 0},
+        ],
+    )
+    def test_rejects_out_of_range_hyperparameters(self, kw):
+        with pytest.raises(ModelError, match="must be >="):
+            LightGCN(**kw).fit(community_graph())
+
+    def test_zero_epochs_and_layers_are_allowed(self):
+        model = LightGCN(epochs=0, layers=0, seed=3).fit(community_graph())
+        assert model.user_emb_.shape == (30, 16)
+        assert model.training_cost_ == 0.0
+
+
+class TestNegativeSampler:
+    @pytest.mark.parametrize("n", [1, 2, 35, 2**31 + 5])
+    def test_bulk_draw_consumes_the_stream_like_scalar_draws(self, n):
+        # The sampler draws its candidates in bulk and replays the consumed
+        # count; that is exact only while numpy keeps this property.
+        bulk, scalar = make_rng(11), make_rng(11)
+        values = bulk.integers(n, size=37)
+        assert values.tolist() == [int(scalar.integers(n)) for _ in range(37)]
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+        assert bulk.random() == scalar.random()
+
+    def test_matches_scalar_rejection_and_leaves_the_same_state(self):
+        interacted = [[True, True, False, True], [True] * 4, [False] * 4]
+        users = [0, 1, 2, 0, 1, 2, 0]
+        rng, scalar = make_rng(4), make_rng(4)
+        negatives = sample_negatives(rng, users, interacted, 4)
+        expected = []
+        for u in users:
+            neg, attempts = int(scalar.integers(4)), 0
+            while interacted[u][neg] and attempts < 10:
+                neg, attempts = int(scalar.integers(4)), attempts + 1
+            expected.append(neg)
+        assert negatives.tolist() == expected
+        assert rng.bit_generator.state == scalar.bit_generator.state
 
 
 class TestTrainAndEvaluate:
