@@ -591,11 +591,12 @@ def cmd_watch(args: argparse.Namespace) -> int:
     lands, long-polling ``GET /v1/events`` between batches. Exits 0 when
     the job ends DONE, 1 when FAILED/CANCELLED.
     """
-    from .service import ServiceClient
+    from .obs.events import TERMINAL_EVENT_TYPES
+    from .service import JobState, ServiceClient
 
     client = ServiceClient(args.url)
     record = client.job(args.job_id)
-    if record["state"] in ("done", "failed", "cancelled"):
+    if record["state"] in JobState.TERMINAL:
         print(f"job {args.job_id} already {record['state']}")
         return 0 if record["state"] == "done" else 1
     final = None
@@ -608,8 +609,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
             else:
                 print(_format_event(event), flush=True)
             if (
-                event.get("type") in ("job.done", "job.failed",
-                                      "job.cancelled")
+                event.get("type") in TERMINAL_EVENT_TYPES
                 and event.get("job_id") == args.job_id
             ):
                 final = event["type"]

@@ -230,21 +230,22 @@ class EventBus:
         returns an empty batch with the advanced cursor). The wait is
         sliced into bounded chunks so even a waiter that raced past a
         missed notify observes ``close()`` within half a second —
-        ``Server.stop()`` never sits out a 30 s poll.
+        ``Server.stop()`` never sits out a 30 s poll. ``dropped`` sums the
+        gaps every slice found, so a waiter that started behind the ring
+        still learns what it missed.
         """
         deadline = time.monotonic() + max(0.0, timeout)
         limit = max(1, int(limit))
+        gap = 0
         with self._cond:
             while True:
-                events, next_cursor, dropped = self._after_locked(
+                events, cursor, dropped = self._after_locked(
                     cursor, limit, job_ids
                 )
-                if events or self._closed:
-                    return events, next_cursor, dropped
-                cursor = next_cursor
+                gap += dropped
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return events, next_cursor, dropped
+                if events or self._closed or remaining <= 0:
+                    return events, cursor, gap
                 self._cond.wait(min(remaining, 0.5))
 
     def close(self) -> None:

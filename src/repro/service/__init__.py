@@ -38,7 +38,13 @@ exit, discovery runs as jobs against a persistent service:
   ``scheduler_id`` claim jobs via lease records in the shared journal,
   so several scheduler processes can serve one ``--journal-dir``; a
   survivor's sweep (:meth:`Scheduler.sweep_leases`) adopts the expired
-  leases of a SIGKILLed peer and finishes its jobs.
+  leases of a SIGKILLed peer and finishes its jobs. Boot replay, the
+  sweep and ``repro recover`` share one takeover policy,
+  :func:`~repro.service.scheduler.recovery_action`.
+
+:meth:`ServiceClient.wait` rides :meth:`ServiceClient.watch`, the
+``GET /v1/events`` long-poll, and fetches the job record only up front
+and once the stream ends.
 
 CLI surface: ``repro serve`` boots the service; ``repro submit``,
 ``repro status``, and ``repro fetch`` talk to it.

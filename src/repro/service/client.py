@@ -10,14 +10,12 @@ through :data:`~repro.exceptions.API_ERROR_TYPES`, so a 404 raises
 subclass :class:`~repro.exceptions.ServiceError`, so existing
 ``except ServiceError`` call sites keep working unchanged.
 
-:meth:`ServiceClient.wait` follows the server's cursor-based event
-stream (``GET /v1/events`` long-poll): the client sleeps inside the
-server until the job's next event instead of polling on an interval.
-Against a pre-events server it falls back transparently to conditional
-``ETag`` polling — every unchanged poll is answered ``304 Not Modified``
-with an empty body, so watching a long job costs headers, not repeated
-job records. :meth:`ServiceClient.watch` exposes the same stream as an
-iterator of raw events; :meth:`ServiceClient.progress` and
+:meth:`ServiceClient.watch` follows the server's cursor-based event
+stream (``GET /v1/events`` long-poll) as an iterator of raw events: the
+client sleeps inside the server until the job's next event instead of
+polling on an interval. :meth:`ServiceClient.wait` is a loop over
+``watch`` that fetches the job record once more at the end, so progress
+events cost no record fetches. :meth:`ServiceClient.progress` and
 ``result(partial=True)`` read a running job's live counters and partial
 skyline.
 """
@@ -31,7 +29,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Iterator
 
-from ..exceptions import API_ERROR_TYPES, ServiceError, UnknownRouteError
+from ..exceptions import API_ERROR_TYPES, ServiceError
 from ..obs.events import TERMINAL_EVENT_TYPES
 from .jobs import JobState
 
@@ -98,8 +96,7 @@ class ServiceClient:
         """One request; returns ``(status, response headers, raw body)``.
 
         The single transport under :meth:`_request_full` and
-        :meth:`_request_text`. A ``304 Not Modified`` returns
-        ``(304, headers, b"")``. ``429``/``503`` answers are retried with
+        :meth:`_request_text`. ``429``/``503`` answers are retried with
         :meth:`_backoff_delay`; once the retries are spent, an error
         response raises the typed :class:`~repro.exceptions.ApiError`
         subclass named by the envelope's ``code`` (plain
@@ -123,8 +120,6 @@ class ServiceClient:
                         response.read(),
                     )
             except urllib.error.HTTPError as exc:
-                if exc.code == 304:
-                    return 304, dict(exc.headers), b""
                 if (
                     exc.code in RETRYABLE_STATUSES
                     and attempt < self.retries
@@ -147,17 +142,13 @@ class ServiceClient:
         method: str,
         path: str,
         body: Any = None,
-        headers: dict[str, str] | None = None,
     ) -> tuple[int, dict[str, str], Any]:
         """One JSON request; returns ``(status, response headers, payload)``.
 
-        A ``304 Not Modified`` returns ``(304, headers, None)``; errors
-        and retries are those of :meth:`_send`.
+        Errors and retries are those of :meth:`_send`.
         """
         data = None
         request_headers = {"Accept": "application/json"}
-        if headers:
-            request_headers.update(headers)
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             request_headers["Content-Type"] = "application/json"
@@ -381,8 +372,12 @@ class ServiceClient:
 
         Yields raw event dicts in sequence order, long-polling between
         batches, and returns after yielding the job's own terminal event
-        (``job.done`` / ``job.failed`` / ``job.cancelled``) — or when
-        ``timeout`` seconds pass without one.
+        (``job.done`` / ``job.failed`` / ``job.cancelled``), or when
+        ``timeout`` seconds pass without one. A batch that reports
+        ``dropped`` events, or a long-poll that comes back empty, checks
+        the job record instead: the terminal event may have aged out of
+        the server's ring, or the job may have been finished by a peer
+        scheduler, and the iterator returns if the record is terminal.
         """
         deadline = (
             None if timeout is None else time.monotonic() + float(timeout)
@@ -401,6 +396,10 @@ class ServiceClient:
                     and event.get("job_id") == job_id
                 ):
                     return
+            if (batch["dropped"] or not batch["events"]) and (
+                self.job(job_id)["state"] in JobState.TERMINAL
+            ):
+                return
             if deadline is not None and time.monotonic() >= deadline:
                 return
 
@@ -409,18 +408,13 @@ class ServiceClient:
         self,
         job_id: str,
         timeout: float = 300.0,
-        poll_interval: float = 0.25,
         timing: bool = True,
     ) -> dict[str, Any]:
         """Block until the job is terminal; returns its final record.
 
-        Rides the server's event stream: between record checks the
-        client long-polls ``GET /v1/events?job=...`` and wakes on the
-        job's next event instead of sleeping a fixed interval. Servers
-        without the events route (404 ``unknown-route``) degrade to the
-        previous behavior — conditional ``ETag`` polling every
-        ``poll_interval`` seconds, where unchanged polls cost a ``304``
-        with no body.
+        One record fetch up front; while the job is live, the wait rides
+        :meth:`watch` and fetches the record again only once the stream
+        ends.
 
         With ``timing`` (default), the terminal record carries a
         ``"timing"`` key split out from the job's trace — how long the
@@ -428,60 +422,23 @@ class ServiceClient:
 
             {"queue_wait_seconds": 0.01, "run_seconds": 3.2}
         """
-        deadline = time.monotonic() + timeout
-        record: dict[str, Any] | None = None
-        etag: str | None = None
-        cursor = 0
-        use_events = True
-        while True:
-            headers = {"If-None-Match": etag} if etag else None
-            status, response_headers, payload = self._request_full(
-                "GET", f"/v1/jobs/{job_id}", headers=headers
+        record = self.job(job_id)
+        if record["state"] not in JobState.TERMINAL:
+            for _ in self.watch(job_id, timeout=timeout):
+                pass
+            record = self.job(job_id)
+        if record["state"] not in JobState.TERMINAL:
+            raise ServiceError(
+                f"timed out after {timeout:.0f}s waiting for job "
+                f"{job_id} (still {record['state']})"
             )
-            if status != 304:
-                record = payload
-                etag = response_headers.get("ETag")
-            if record is not None and record["state"] in JobState.TERMINAL:
-                if timing:
-                    try:
-                        trace = self.trace(job_id)
-                        record["timing"] = {
-                            "queue_wait_seconds": trace.get(
-                                "queue_wait_seconds"
-                            ),
-                            "run_seconds": trace.get("run_seconds"),
-                        }
-                    except ServiceError:
-                        pass  # pre-trace server; the record is still good
-                return record
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                state = record["state"] if record else "unknown"
-                raise ServiceError(
-                    f"timed out after {timeout:.0f}s waiting for job "
-                    f"{job_id} (still {state})"
-                )
-            if use_events:
-                try:
-                    # Wake on the job's next event. The poll is kept
-                    # under the transport timeout; an empty batch (or a
-                    # dropped-events gap) just re-checks the record.
-                    batch = self.events(
-                        after=cursor,
-                        timeout=min(10.0, max(0.1, remaining)),
-                        job=job_id,
-                    )
-                    cursor = batch["next_cursor"]
-                    continue
-                except UnknownRouteError:
-                    use_events = False  # pre-events server: poll instead
-                except ServiceError:
-                    # Transient stream failure (e.g. proxy timeout):
-                    # fall through to one interval sleep, keep streaming.
-                    pass
-            time.sleep(
-                min(poll_interval, max(0.0, deadline - time.monotonic()))
-            )
+        if timing:
+            trace = self.trace(job_id)
+            record["timing"] = {
+                "queue_wait_seconds": trace.get("queue_wait_seconds"),
+                "run_seconds": trace.get("run_seconds"),
+            }
+        return record
 
     def run(
         self,

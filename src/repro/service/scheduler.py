@@ -46,8 +46,9 @@ lease (``lease-acquired``/``renewed``/``released`` WAL records carrying
 the id and a TTL). Multiple scheduler processes can then share one
 journal directory: each boots against the same WAL, leaves peers'
 live-leased jobs alone, and — via a periodic sweep that replays the
-journal — adopts jobs whose lease expired (a SIGKILLed peer stops
-renewing), charging the usual crash retry for work that died mid-run.
+journal through the boot's takeover path — adopts jobs whose lease
+expired (a SIGKILLed peer stops renewing), charging the usual crash
+retry for work that died mid-run.
 A scheduler restarting under its *own* id reclaims its leases
 immediately — expiry only gates takeover by peers. Shared-dir mode is
 opt-in precisely because ids must be stable: an anonymous scheduler
@@ -183,21 +184,33 @@ def _lease_live(job: Job, now: float) -> bool:
     )
 
 
-#: Every restart action, one count each in ``repro recover``'s report;
+#: Every takeover action, one count each in ``repro recover``'s report;
 #: ``drop`` is a snapshot that cannot be rebuilt into a job.
 RECOVERY_ACTIONS = (
     "requeue", "retry", "fail-retry-budget", "remerge", "peer", "keep", "drop",
 )
 
+#: The boot's ``journal.recovery`` counter for each takeover action.
+_BOOT_COUNTERS = {
+    "requeue": "requeued",
+    "retry": "retried",
+    "fail-retry-budget": "failed_retry_budget",
+    "remerge": "shard_parents",
+    "peer": "remote_leases",
+    "keep": "restored_terminal",
+    "drop": "unrecoverable",
+}
+
 
 def recovery_action(
     job: Job, max_retries: int, now: float, scheduler_id: str | None = None
 ) -> str:
-    """What a restart does with one replayed job (see ``_recover``).
+    """What a takeover does with one replayed job.
 
-    The one restart policy: ``Scheduler._recover`` acts on it and
-    ``repro recover`` reports it. ``peer`` means a live lease held by a
-    scheduler other than ``scheduler_id``; ``remerge`` a shard parent.
+    The one takeover policy: boot recovery and the lease sweep act on it
+    (``Scheduler._take_over_locked``) and ``repro recover`` reports it.
+    ``peer`` means a live lease held by a scheduler other than
+    ``scheduler_id``; ``remerge`` a shard parent.
     """
     if job.terminal:
         return "keep"
@@ -563,6 +576,8 @@ class Scheduler:
         self._fingerprints: dict[str, str] = {}
         #: primary job id → follower job ids awaiting its result.
         self._followers: dict[str, list[str]] = {}
+        #: ids of journaled jobs that cannot be rebuilt, each reported once.
+        self._dropped: set[str] = set()
         self._recovery: dict[str, Any] = {
             "replayed": 0,
             "requeued": 0,
@@ -579,92 +594,32 @@ class Scheduler:
         if journal is not None:
             self._recover(journal)
 
-    # -- crash recovery ----------------------------------------------------------
+    # -- journal takeover --------------------------------------------------------
     def _recover(self, journal: JobJournal) -> None:
-        """Replay the journal into jobs/queue state, then compact it.
+        """Take the journal's jobs over at boot, then compact it.
 
-        Terminal snapshots become read-only records (``GET /v1/jobs`` keeps
-        answering for pre-crash work); ``QUEUED`` snapshots re-enter the
-        queue as-is; ``RUNNING`` snapshots were interrupted mid-run, so
-        they re-enter the queue with one retry charged — or fail with
-        ``failure_reason="retry-budget"`` once ``max_retries`` is spent.
-        The post-replay compaction makes the retry accounting durable in
-        one segment before any new work is accepted.
+        Every replayed job goes through :meth:`_take_over_locked`, the
+        path the lease sweep uses too; boot adds only its
+        ``journal.recovery`` counts and the compaction gate. The
+        post-replay compaction makes the retry accounting durable in one
+        segment before any new work is accepted.
 
-        On a *shared* journal dir, non-terminal jobs under a live foreign
-        lease belong to a peer scheduler: they are registered read-only
-        (so lookups answer) but never queued, never charged a retry, and
-        their presence suppresses compaction — rewriting a WAL a live
-        peer is appending to would destroy the peer's records.
+        On a *shared* journal dir, jobs under a live foreign lease belong
+        to a peer scheduler, and their presence suppresses the plain
+        compaction — rewriting a WAL a live peer is appending to would
+        destroy the peer's records.
         """
         summary = journal.replay()
         stats = self._recovery
         stats["skipped_lines"] = summary.skipped
         stats["torn_tail"] = summary.torn_tail
-        now = time.time()
-        for job_id, snapshot in summary.jobs.items():
-            try:
-                job = Job.from_snapshot(snapshot)
-            except Exception:
-                stats["unrecoverable"] += 1
-                logger.warning(
-                    "journal: cannot reconstruct job %s; dropping it",
-                    job_id, exc_info=True,
-                )
-                continue
-            stats["replayed"] += 1
-            self._track(job)
-            action = recovery_action(
-                job, self.max_retries, now, self.scheduler_id
-            )
-            if action == "keep":
-                stats["restored_terminal"] += 1
-                continue
-            if action == "peer":
-                # A live peer owns this job: track it, don't touch it.
-                stats["remote_leases"] += 1
-                continue
-            if action == "remerge":
-                # Parents never enter the queue; merging is re-elected
-                # after replay once every child is terminal. A crash
-                # mid-merge costs a re-merge, not a retry charge — the
-                # merge is a pure function of the children's results.
-                if job.state == JobState.RUNNING:
-                    job.state = JobState.QUEUED
-                    job.started_at = None
-                stats["shard_parents"] += 1
-                self._acquire_lease(job)
-                continue
-            interrupted = action != "requeue"
-            if interrupted:
-                # The retried/terminal record is appended *before* the
-                # compaction below, so even a crash during recovery
-                # cannot forget the charge (no infinite retry loop).
-                if not self._charge_crash_retry(job):
-                    stats["failed_retry_budget"] += 1
-                    journal.record_terminal(job)
-                    continue
-                stats["retried"] += 1
-                journal.record_retried(job)
-            if job.shard_index is None:
-                # Shard children share their parent's spec fingerprint by
-                # construction — content dedup only applies to ordinary
-                # jobs.
-                fingerprint = job.spec.fingerprint()
-                primary_id = self._inflight.get(fingerprint)
-                if primary_id is not None:
-                    # Identical content is already being revived: restore
-                    # the pre-crash primary/follower relationship instead
-                    # of running the same work twice.
-                    self._followers.setdefault(primary_id, []).append(job.id)
-                    stats["refollowed"] += 1
-                    continue
-                self._fingerprints[job.id] = fingerprint
-                self._inflight[fingerprint] = job.id
-            if not interrupted:
-                stats["requeued"] += 1
-            self._acquire_lease(job)
-            self.queue.push(job)
+        with self._lock:
+            taken = self._take_over_locked(summary.jobs, strict=True)
+        for _, action, followed in taken:
+            stats["replayed"] += action != "drop"
+            stats["refollowed"] += followed
+            if not (followed and action == "requeue"):
+                stats[_BOOT_COUNTERS[action]] += 1
         if stats["unrecoverable"]:
             # Compacting would rewrite the journal from in-memory jobs
             # only, durably destroying the snapshots this release could
@@ -705,29 +660,115 @@ class Scheduler:
                 stats["failed_retry_budget"], stats["restored_terminal"],
             )
 
-    def _charge_crash_retry(self, job: Job) -> bool:
-        """Charge one retry to a job that died ``RUNNING`` with its owner.
+    def _take_over_locked(
+        self, snapshots: Mapping[str, dict[str, Any]], strict: bool
+    ) -> list[tuple[str, str, bool]]:
+        """Take over every replayed job this scheduler does not hold yet.
 
-        Returns True when the job may run again (it is ``QUEUED`` now).
-        Once the charge exceeds ``max_retries`` the job is ``FAILED``
-        with ``failure_reason="retry-budget"`` instead, and False is
-        returned. The caller journals whichever record results.
+        The one replay path, for boot (:meth:`_recover`) and the lease
+        sweep (:meth:`sweep_leases`); lock held. A tracked job is *held*
+        when it is terminal or under our lease or none: memory is
+        authoritative for it. For every other snapshot,
+        :func:`recovery_action` decides:
+
+        * ``keep`` / ``peer``: track it read-only — a terminal record, or
+          a job under a peer's live lease;
+        * ``remerge``: take the lease on a shard parent; its merge is
+          re-elected once every child is terminal. A crash mid-merge
+          costs a re-merge, not a retry: the merge is a pure function of
+          the children's results;
+        * ``retry`` / ``fail-retry-budget``: charge and journal the crash
+          retry *before* the job is tracked, so a charge that cannot be
+          made durable never lets it run again. With ``strict`` (boot)
+          the append error propagates; otherwise the job is left as the
+          journal has it for the next pass;
+        * ``retry`` / ``requeue``: take the lease, then rejoin in-flight
+          dedup as the follower of an identical job, or queue the job;
+        * ``drop``: a snapshot that cannot be rebuilt, reported once.
+
+        Returns ``(job id, action, followed)`` per job taken over;
+        ``followed`` marks one that became an identical job's follower.
         """
-        job.retries += 1
-        self._retries_total.inc()
-        job.started_at = None
-        if job.retries <= self.max_retries:
-            job.state = JobState.QUEUED
-            return True
-        job.state = JobState.FAILED
-        job.finished_at = time.time()
-        job.updated_at = job.finished_at
-        job.failure_reason = "retry-budget"
-        job.error = (
-            f"crashed {job.retries} time(s); retry budget of "
-            f"{self.max_retries} exhausted"
-        )
-        return False
+        now = time.time()
+        taken: list[tuple[str, str, bool]] = []
+        for job_id, snapshot in snapshots.items():
+            known = self.jobs.get(job_id)
+            if job_id in self._dropped or known is not None and (
+                known.terminal
+                or known.lease_owner in (None, self.scheduler_id)
+            ):
+                continue
+            try:
+                job = Job.from_snapshot(snapshot)
+            except Exception:
+                self._dropped.add(job_id)
+                logger.warning(
+                    "journal: cannot reconstruct job %s; dropping it",
+                    job_id, exc_info=True,
+                )
+                taken.append((job_id, "drop", False))
+                continue
+            action = recovery_action(
+                job, self.max_retries, now, self.scheduler_id
+            )
+            if action in ("retry", "fail-retry-budget"):
+                job.retries += 1
+                job.started_at = None
+                if action == "retry":
+                    job.state = JobState.QUEUED
+                else:
+                    job.state = JobState.FAILED
+                    job.finished_at = job.updated_at = time.time()
+                    job.failure_reason = "retry-budget"
+                    job.error = (
+                        f"crashed {job.retries} time(s); retry budget of "
+                        f"{self.max_retries} exhausted"
+                    )
+                try:
+                    if job.terminal:
+                        self.journal.record_terminal(job)
+                    else:
+                        self.journal.record_retried(job)
+                except Exception:
+                    if strict:
+                        raise
+                    logger.warning(
+                        "job %s: could not journal its crash-retry charge; "
+                        "leaving it for the next sweep", job_id,
+                        exc_info=True,
+                    )
+                    continue
+                self._retries_total.inc()
+            self._track(job)
+            followed = False
+            if job.terminal:
+                if action == "fail-retry-budget":
+                    self._publish_terminal(job)
+                self._cond.notify_all()
+            elif action == "remerge":
+                job.state = JobState.QUEUED
+                job.started_at = None
+                self._acquire_lease(job)
+            elif action != "peer":
+                self._acquire_lease(job)
+                # Shard children share their parent's fingerprint by
+                # construction, so content dedup skips them.
+                fingerprint = (
+                    job.spec.fingerprint() if job.shard_index is None
+                    else None
+                )
+                primary_id = self._inflight.get(fingerprint)
+                followed = primary_id is not None
+                if followed:
+                    self._followers.setdefault(primary_id, []).append(job.id)
+                else:
+                    if fingerprint is not None:
+                        self._fingerprints[job.id] = fingerprint
+                        self._inflight[fingerprint] = job.id
+                    with contextlib.suppress(ServiceError):
+                        self.queue.push(job)  # closed: the journal keeps it
+            taken.append((job_id, action, followed))
+        return taken
 
     # -- submissions -------------------------------------------------------------
     def submit(
@@ -863,18 +904,12 @@ class Scheduler:
                             # the record must keep matching the heap.
                             primary.priority = previous
                         else:
-                            try:
-                                # Re-journal the primary so the
-                                # escalation survives a crash (a
-                                # submitted record replaces the snapshot
-                                # wholesale on replay).
-                                self._journal_submitted(primary)
-                            except Exception:
-                                logger.warning(
-                                    "job %s: could not journal the "
-                                    "priority escalation",
-                                    primary.id, exc_info=True,
-                                )
+                            # Re-journal the primary so the escalation
+                            # survives a crash (a submitted record
+                            # replaces the snapshot wholesale on replay).
+                            self._journal_best_effort(
+                                primary, "record_submitted", primary
+                            )
                     return job
                 self._inflight[fingerprint] = job.id
                 self._fingerprints[job.id] = fingerprint
@@ -1101,13 +1136,8 @@ class Scheduler:
             for job in attempted:
                 job.state = JobState.CANCELLED
                 job.finished_at = time.time()
-                try:
-                    self.journal.record_terminal(job)
-                except Exception:
-                    logger.warning(
-                        "job %s: compensating cancellation record also "
-                        "failed; the job may replay once", job.id,
-                    )
+                # If this fails too, the job may replay once.
+                self._journal_best_effort(job, "record_terminal", job)
             raise
 
     def _finish_locked(
@@ -1132,32 +1162,40 @@ class Scheduler:
         self._on_terminal(job)
         self._cond.notify_all()
 
+    def _journal_best_effort(self, job: Job, record: str, *args: Any) -> None:
+        """Append one best-effort WAL record through
+        ``JobJournal.<record>``: a failure is logged and the scheduler
+        carries on.
+
+        For the records whose loss costs at most one re-run or a wider
+        adoption window for peers: started, terminal, lease, and the
+        priority-escalation re-journal. Submissions and crash-retry
+        charges stay strict.
+        """
+        if self.journal is None:
+            return
+        try:
+            getattr(self.journal, record)(*args)
+        except Exception:
+            logger.warning(
+                "job %s: %s%r failed; carrying on",
+                job.id, record, args[1:], exc_info=True,
+            )
+
     def _journal_started(self, job: Job) -> None:
-        if self.journal is not None:
-            try:
-                self.journal.record_started(job)
-            except Exception:
-                logger.warning(
-                    "job %s: could not journal the started record",
-                    job.id, exc_info=True,
-                )
+        self._journal_best_effort(job, "record_started", job)
         self._publish_event(JOB_STARTED, job)
 
     def _journal_terminal(self, job: Job) -> None:
         # Best-effort: the work is already done (or failed) — a journal
         # I/O error must not corrupt the in-memory lifecycle. Worst case
         # the record replays as interrupted and the job re-runs once.
-        if self.journal is not None:
-            try:
-                self.journal.record_terminal(job)
-            except Exception:
-                logger.warning(
-                    "job %s: could not journal the %s record",
-                    job.id, job.state, exc_info=True,
-                )
-        # Every terminal site funnels through here, so this one hook
-        # publishes the terminal event and retires the live-progress
-        # bookkeeping (partials are only meaningful while running).
+        self._journal_best_effort(job, "record_terminal", job)
+        self._publish_terminal(job)
+
+    def _publish_terminal(self, job: Job) -> None:
+        """Publish a terminal event and retire the job's live-progress
+        bookkeeping (partials are only meaningful while running)."""
         self._partials.pop(job.id, None)
         self._last_event_at.pop(job.id, None)
         event_type = _TERMINAL_EVENTS.get(job.state)
@@ -1349,15 +1387,10 @@ class Scheduler:
         """
         if not self.leases_enabled:
             return
-        try:
-            self.journal.record_lease(
-                job.id, action, self.scheduler_id, self.lease_ttl
-            )
-        except Exception:
-            logger.warning(
-                "job %s: could not journal the lease-%s record",
-                job.id, action, exc_info=True,
-            )
+        self._journal_best_effort(
+            job, "record_lease", job.id, action, self.scheduler_id,
+            self.lease_ttl,
+        )
         job.lease_owner = self.scheduler_id
         job.lease_expires_at = time.time() + self.lease_ttl
 
@@ -1365,13 +1398,9 @@ class Scheduler:
         """Drop this scheduler's lease at terminal time (lock held)."""
         if not self.leases_enabled or job.lease_owner != self.scheduler_id:
             return
-        try:
-            self.journal.record_lease(job.id, "released", self.scheduler_id)
-        except Exception:
-            logger.warning(
-                "job %s: could not journal the lease-released record",
-                job.id, exc_info=True,
-            )
+        self._journal_best_effort(
+            job, "record_lease", job.id, "released", self.scheduler_id
+        )
         job.lease_owner = None
         job.lease_expires_at = None
 
@@ -1391,55 +1420,19 @@ class Scheduler:
                 for job in self.jobs.values()
             )
 
-    def _adopt_locked(self, job: Job, stats: dict[str, int]) -> None:
-        """Take over an unleased/expired non-terminal job (lock held).
-
-        A ``RUNNING`` orphan died under its previous owner mid-run, so
-        adoption charges the usual crash retry (failing it outright with
-        ``failure_reason="retry-budget"`` once the budget is spent);
-        ``QUEUED`` orphans are simply re-queued under our lease. Parents
-        are never queued — adopting one just claims the merge.
-        """
-        self._track(job)
-        if job.state == JobState.RUNNING and not job.is_shard_parent:
-            if not self._charge_crash_retry(job):
-                self._journal_terminal(job)
-                self._cond.notify_all()
-                return
-            try:
-                self.journal.record_retried(job)
-            except Exception:
-                logger.warning(
-                    "job %s: could not journal the adoption retry",
-                    job.id, exc_info=True,
-                )
-        elif job.is_shard_parent and job.state == JobState.RUNNING:
-            # The previous owner died mid-merge; merging is a pure
-            # function of the children's results, so just re-elect.
-            job.state = JobState.QUEUED
-            job.started_at = None
-        self._acquire_lease(job)
-        stats["adopted"] += 1
-        self._lease_events.inc(event="adopted")
-        if not job.is_shard_parent:
-            try:
-                self.queue.push(job)
-            except ServiceError:
-                pass  # shutting down; the journal still holds the job
-
     def sweep_leases(self) -> dict[str, int]:
-        """One lease maintenance pass: renew ours, adopt the expired.
+        """One lease maintenance pass: renew ours, take over the rest.
 
         Renews every non-terminal job this scheduler owns, then replays
-        the shared journal to (a) import jobs a peer scheduler created
-        or finished since the last pass, and (b) *adopt* non-terminal
-        jobs whose lease has expired — a SIGKILLed peer stops renewing,
-        so after one TTL its orphans are picked up here, with the usual
-        crash-retry charge for work that died ``RUNNING``. Runs
-        periodically on a background thread (see :meth:`start`); public
-        and synchronous so tests and operators can force a pass.
-        Returns the pass's counts (``renewed``/``imported``/``adopted``/
-        ``expired``).
+        the shared journal through the boot's takeover path
+        (:meth:`_take_over_locked`): jobs a peer created or finished
+        since the last pass are *imported*, and non-terminal jobs whose
+        lease *expired* — a SIGKILLed peer stops renewing — are
+        *adopted*, with the usual crash-retry charge for work that died
+        ``RUNNING``. Runs periodically on a background thread (see
+        :meth:`start`); public and synchronous so tests and operators can
+        force a pass. Returns the pass's counts (``renewed``/``imported``/
+        ``adopted``/``expired``).
         """
         stats = {"renewed": 0, "imported": 0, "adopted": 0, "expired": 0}
         if not self.leases_enabled:
@@ -1456,43 +1449,28 @@ class Scheduler:
             logger.warning("lease sweep: journal replay failed",
                            exc_info=True)
             return stats
-        now = time.time()
         with self._lock:
-            for job_id, snapshot in summary.jobs.items():
-                known = self.jobs.get(job_id)
-                if known is not None and (
-                    known.terminal
-                    or known.lease_owner in (None, self.scheduler_id)
-                ):
-                    # Terminal records never change, and jobs we own (or
-                    # that pre-date leases) are authoritative in memory.
+            known = set(self.jobs)
+            taken = self._take_over_locked(summary.jobs, strict=False)
+            for job_id, action, _ in taken:
+                if action == "drop":
+                    self._recovery["unrecoverable"] += 1
                     continue
-                try:
-                    job = Job.from_snapshot(snapshot)
-                except Exception:
-                    continue
-                if job.terminal:
-                    # A peer finished it: import the outcome wholesale so
-                    # lookups/waits here see the result too.
-                    self._track(job)
-                    stats["imported"] += 1
-                    self._lease_events.inc(event="imported")
-                    self._cond.notify_all()
-                    continue
-                if (
-                    job.lease_owner not in (None, self.scheduler_id)
-                    and _lease_live(job, now)
-                ):
-                    # Still under a live foreign lease: track read-only.
-                    self._track(job)
-                    if known is None:
-                        stats["imported"] += 1
-                        self._lease_events.inc(event="imported")
-                    continue
-                if job.lease_owner is not None:
-                    stats["expired"] += 1
-                    self._lease_events.inc(event="expired_seen")
-                self._adopt_locked(job, stats)
+                if action in ("keep", "peer"):
+                    # A peer's job: count it once, when first seen here
+                    # or finished.
+                    if action == "peer" and job_id in known:
+                        continue
+                    event = "imported"
+                else:
+                    if summary.jobs[job_id].get("lease_owner") is not None:
+                        stats["expired"] += 1
+                        self._lease_events.inc(event="expired_seen")
+                    if action == "fail-retry-budget":
+                        continue
+                    event = "adopted"
+                stats[event] += 1
+                self._lease_events.inc(event=event)
             parents = [
                 p.id
                 for p in self.jobs.values()

@@ -150,6 +150,28 @@ class TestWait:
         assert [e["type"] for e in events] == ["job.done"]
         assert cursor == 1
 
+    def test_wait_keeps_the_gap_it_started_behind(self):
+        """A long-poll that starts behind the ring reports the gap even
+        when the matching event lands slices later."""
+        bus = EventBus(capacity=4)
+        for i in range(10):
+            bus.publish("job.progress", job_id="other", n=i)
+        assert bus.after(0, job_ids={"mine"})[2] == 6
+        got = {}
+
+        def reader():
+            got["batch"] = bus.wait(0, timeout=2.0, job_ids={"mine"})
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        time.sleep(0.7)  # past the first 0.5 s slice
+        bus.publish("job.done", job_id="mine")
+        thread.join(timeout=5.0)
+        events, cursor, dropped = got["batch"]
+        assert [e["job_id"] for e in events] == ["mine"]
+        assert cursor == 11
+        assert dropped == 6
+
 
 class TestConcurrency:
     def test_concurrent_publishers_exactly_once_below_capacity(self):

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.exceptions import ServiceError, UnknownJobError
-from repro.obs.events import TERMINAL_EVENT_TYPES, emit, emit_partial
+from repro.obs.events import TERMINAL_EVENT_TYPES, EventBus, emit, emit_partial
 from repro.service import Scheduler
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceServer
@@ -261,6 +261,55 @@ class TestSchedulerHealth:
                 wait_terminal(scheduler, job.id)
         finally:
             gate.set()
+
+
+class TestClientAcrossRingGaps:
+    """``wait``/``watch`` when the job's terminal event has aged out of
+    the server's ring: the gap sends them to the job record instead."""
+
+    @pytest.fixture()
+    def aged_out(self):
+        release = threading.Event()
+        factory = StubFactory()
+        factory.on("s1", lambda: release.wait(10.0))
+        scheduler = make_scheduler(factory)
+        scheduler.event_bus = EventBus(capacity=2)
+        with scheduler, ServiceServer(scheduler, port=0) as server:
+            client = ServiceClient(server.url, timeout=15.0)
+            job = scheduler.submit(spec("s1"))
+            running = client.job(job.id)  # read before the job finishes
+            release.set()
+            wait_terminal(scheduler, job.id)
+            for _ in range(4):  # push the job's events off the ring
+                scheduler.event_bus.publish("job.progress", job_id="other")
+            yield client, job.id, running
+
+    def test_watch_stops_on_a_gap_once_the_job_is_terminal(self, aged_out):
+        client, job_id, _ = aged_out
+        start = time.monotonic()
+        seen = list(client.watch(job_id, timeout=30.0, poll_timeout=0.5))
+        assert seen == []
+        assert time.monotonic() - start < 5.0  # not the 30 s timeout
+
+    def test_wait_returns_without_the_terminal_event(self, aged_out):
+        client, job_id, running = aged_out
+        assert running["state"] in ("queued", "running")
+        fetched = []
+        fetch = client.job
+
+        def job(job_id):
+            # The first fetch answers as the job stood when the wait
+            # began; the stream then finds the terminal event gone.
+            fetched.append(job_id)
+            return running if len(fetched) == 1 else fetch(job_id)
+
+        client.job = job
+        # One long-poll comes back empty (with the gap), then the
+        # record answers: done, not a timeout error.
+        record = client.wait(job_id, timeout=2.0)
+        assert record["state"] == "done"
+        assert record["timing"]["run_seconds"] is not None
+        assert len(fetched) == 3  # up front, the gap check, the final read
 
 
 class TestHTTPEventSurface:

@@ -11,6 +11,7 @@ expired leases and finishes the sharded job with a skyline identical to
 an undisturbed run.
 """
 
+import shutil
 import time
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from repro.exceptions import ServiceError
 from repro.scenarios.spec import Scenario
 from repro.service import JobJournal, JobState, Scheduler
+from repro.service import scheduler as scheduler_module
 from tests.helpers import StubFactory, service_spec as spec
 
 # Same exhaustive recipe as test_service_sharding: at max_level=1 a
@@ -43,6 +45,27 @@ def stub_scheduler(journal_dir, names=("j1",), **kwargs):
         journal=JobJournal(journal_dir),
         **dict(MANUAL, **kwargs),
     )
+
+
+class FakeClock:
+    """Stands in for the scheduler module's ``time``: epoch reads run
+    ``offset`` seconds ahead, so leases expire without sleeping."""
+
+    def __init__(self):
+        self.offset = 0.0
+
+    def time(self):
+        return time.time() + self.offset
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
+@pytest.fixture()
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(scheduler_module, "time", fake)
+    return fake
 
 
 def lease_lines(journal_dir):
@@ -230,3 +253,171 @@ class TestSurvivorFinishesShardedJob:
         assert entries == ref_entries
         if not adopted_at_boot:
             assert survivor.metrics()["leases"]["adopted"] == 3
+
+
+# One name per job of the takeover journal; each seed is its own
+# fingerprint, and "twin" repeats "queued"'s.
+TAKEOVER_SEEDS = dict(
+    done=1, live=2, queued=3, twin=3, running=4, spent=5, sharded=6,
+)
+
+
+def takeover_journal(journal_dir):
+    """A journal holding every takeover case, left by two schedulers.
+
+    ``sched-c`` holds ``live`` under a lease that outlives every test;
+    ``sched-a`` dies holding 5 s leases on the rest: a cancelled job, a
+    queued one plus its identical twin (a follower), one that died
+    running, one that died running with its retry budget spent, and a
+    shard parent that died mid-merge after both children finished.
+    """
+    names = tuple(TAKEOVER_SEEDS)
+    peer = stub_scheduler(
+        journal_dir, names, scheduler_id="sched-c", lease_ttl=3600.0
+    )
+    peer.submit(spec("live", seed=TAKEOVER_SEEDS["live"]))
+    doomed = stub_scheduler(
+        journal_dir, names, scheduler_id="sched-a", lease_ttl=5.0
+    )
+    jobs = {
+        name: doomed.submit(spec(name, seed=TAKEOVER_SEEDS[name]))
+        for name in ("done", "queued", "twin", "running", "spent")
+    }
+    doomed.cancel(jobs["done"].id)
+    jobs["spent"].retries = doomed.max_retries
+    doomed.journal.record_retried(jobs["spent"])  # replay drops its lease
+    doomed._acquire_lease(jobs["spent"])
+    parent = doomed.submit(
+        spec("sharded", seed=TAKEOVER_SEEDS["sharded"]), shards=2
+    )
+    with doomed._lock:
+        for child in doomed._shard_children_locked(parent.id):
+            child.transition(JobState.RUNNING)
+            doomed._journal_started(child)
+            child.result = {"entries": []}
+            doomed._finish_locked(child, JobState.DONE)
+    for job in (jobs["running"], jobs["spent"], parent):
+        job.transition(JobState.RUNNING)
+        doomed._journal_started(job)
+    return {**jobs, "sharded": parent}
+
+
+def takeover_state(scheduler):
+    """What a takeover decides, by job name (shard children by index)."""
+    def name(job):
+        if job.shard_index is not None:
+            return f"{job.spec.name}/{job.shard_index}"
+        return job.spec.name
+
+    names = {job.id: name(job) for job in scheduler.list_jobs()}
+    return {
+        "jobs": {
+            names[job.id]: (job.state, job.retries, job.lease_owner)
+            for job in scheduler.list_jobs()
+        },
+        "queue": sorted(names[job.id] for _, _, job in scheduler.queue._heap),
+        "followers": {
+            names[primary]: sorted(names[f] for f in followers)
+            for primary, followers in scheduler._followers.items()
+        },
+    }
+
+
+class TestOneTakeoverPath:
+    def test_sweep_adopted_job_dedups_an_identical_submission(
+        self, tmp_path, clock
+    ):
+        crashed = stub_scheduler(
+            tmp_path, scheduler_id="sched-a", lease_ttl=5.0
+        )
+        job = crashed.submit(spec("j1"))
+        del crashed
+
+        survivor = stub_scheduler(
+            tmp_path, scheduler_id="sched-b", lease_ttl=30.0
+        )
+        assert survivor.metrics()["journal"]["recovery"]["remote_leases"] == 1
+        clock.offset = 60.0  # sched-a's lease has expired
+        assert survivor.sweep_leases()["adopted"] == 1
+        assert survivor.queue.depth == 1
+
+        twin = survivor.submit(spec("j1"))
+        assert survivor.queue.depth == 1  # the twin runs nothing itself
+        assert survivor._followers == {job.id: [twin.id]}
+        assert survivor.metrics()["dedup"]["inflight_hits"] == 1
+
+    def test_boot_and_sweep_take_over_alike(self, tmp_path, clock):
+        source = tmp_path / "source"
+        takeover_journal(source)
+        shutil.copytree(source, tmp_path / "boot")
+        shutil.copytree(source, tmp_path / "sweep")
+        names = tuple(TAKEOVER_SEEDS)
+
+        clock.offset = 60.0  # sched-a's leases expired before the boot
+        booted = stub_scheduler(
+            tmp_path / "boot", names, scheduler_id="sched-b",
+            lease_ttl=30.0,
+        )
+        boot = booted.metrics()["journal"]["recovery"]
+        assert boot["remote_leases"] == 1 and boot["refollowed"] == 1
+
+        clock.offset = 0.0  # this boot still sees sched-a's leases live
+        swept = stub_scheduler(
+            tmp_path / "sweep", names, scheduler_id="sched-b",
+            lease_ttl=30.0,
+        )
+        assert swept.metrics()["journal"]["recovery"]["remote_leases"] == 6
+        assert swept.queue.depth == 0
+        clock.offset = 60.0
+        stats = swept.sweep_leases()
+        assert stats["expired"] == 5 and stats["adopted"] == 4
+
+        state = takeover_state(booted)
+        assert takeover_state(swept) == state
+        assert state["queue"] == ["queued", "running"]
+        assert state["followers"] == {"queued": ["twin"]}
+        jobs = state["jobs"]
+        assert jobs["done"] == (JobState.CANCELLED, 0, None)
+        assert jobs["live"] == (JobState.QUEUED, 0, "sched-c")
+        assert jobs["queued"] == (JobState.QUEUED, 0, "sched-b")
+        assert jobs["twin"] == (JobState.QUEUED, 0, "sched-b")
+        assert jobs["running"] == (JobState.QUEUED, 1, "sched-b")
+        assert jobs["spent"][:2] == (JobState.FAILED, 3)
+        # the re-elected merge ran (and failed: stub shards carry no task)
+        assert jobs["sharded"] == (JobState.FAILED, 0, None)
+
+    def test_unjournaled_retry_charge_waits_for_the_next_sweep(
+        self, tmp_path, clock
+    ):
+        crashed = stub_scheduler(
+            tmp_path, scheduler_id="sched-a", lease_ttl=5.0
+        )
+        job = crashed.submit(spec("j1"))
+        job.transition(JobState.RUNNING)
+        crashed._journal_started(job)
+        del crashed
+
+        survivor = stub_scheduler(
+            tmp_path, scheduler_id="sched-b", lease_ttl=30.0
+        )
+        clock.offset = 60.0
+
+        def broken(job):
+            raise OSError("disk full")
+
+        original = survivor.journal.record_retried
+        survivor.journal.record_retried = broken
+        assert survivor.sweep_leases()["adopted"] == 0
+        # never queued, still the dead peer's job as the journal has it
+        assert survivor.queue.depth == 0
+        held = survivor.get(job.id)
+        assert (held.state, held.retries, held.lease_owner) == (
+            JobState.RUNNING, 0, "sched-a"
+        )
+        assert survivor.metrics()["retries"]["total"] == 0
+
+        survivor.journal.record_retried = original
+        assert survivor.sweep_leases()["adopted"] == 1
+        adopted = survivor.get(job.id)
+        assert (adopted.state, adopted.retries) == (JobState.QUEUED, 1)
+        assert survivor.queue.depth == 1
