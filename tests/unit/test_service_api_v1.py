@@ -11,6 +11,8 @@ serves weak ETags so unchanged polls are empty ``304``\\ s.
 """
 
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -26,6 +28,7 @@ from repro.exceptions import (
     UnknownRouteError,
 )
 from repro.service import Scheduler, ServiceClient, ServiceServer
+from tests.helpers import StubFactory
 
 INLINE_SPEC = dict(
     task="T3", algorithm="apx", epsilon=0.3, budget=6, max_level=2,
@@ -40,6 +43,30 @@ def service(tmp_path):
         client = ServiceClient(server.url, timeout=10.0)
         client.scheduler = scheduler
         yield client
+
+
+@pytest.fixture()
+def held_service():
+    """A service whose single worker is pinned by a gated stub job
+    ("blocker"), so a "watched" job submitted next stays QUEUED until
+    the test ends. A real blocker job can finish within the test's own
+    requests once the task is warm."""
+    gate = threading.Event()
+    factory = StubFactory()
+    factory.on("blocker", gate.wait)
+    factory.on("watched", lambda: None)
+    scheduler = Scheduler(factory=factory, registry=object(), n_workers=1)
+    with ServiceServer(scheduler, port=0) as server:
+        client = ServiceClient(server.url, timeout=10.0)
+        try:
+            blocker = client.submit(**dict(INLINE_SPEC, name="blocker"))
+            deadline = time.monotonic() + 10.0
+            while client.job(blocker["id"])["state"] != "running":
+                assert time.monotonic() < deadline, "blocker never ran"
+                time.sleep(0.02)
+            yield client
+        finally:
+            gate.set()
 
 
 def raw(client, method, path, body=None, headers=None):
@@ -106,10 +133,10 @@ class TestErrorEnvelope:
         with pytest.raises(UnknownJobError, match="404"):
             service.result("job-missing")
 
-    def test_result_not_ready(self, service):
-        # Queue the job behind a blocker so it has no result yet.
-        service.submit(**dict(INLINE_SPEC, budget=40))
-        record = service.submit(**INLINE_SPEC)
+    def test_result_not_ready(self, held_service):
+        service = held_service
+        # Queued behind the blocker, the job has no result yet.
+        record = service.submit(**dict(INLINE_SPEC, name="watched"))
         status, _, body = raw(
             service, "GET", f"/v1/results/{record['id']}"
         )
@@ -240,10 +267,10 @@ class TestListErgonomics:
 
 
 class TestETagPolling:
-    def test_304_while_unchanged_then_200_on_change(self, service):
-        # A blocker keeps the watched job QUEUED for the whole test.
-        service.submit(**dict(INLINE_SPEC, budget=40))
-        record = service.submit(**INLINE_SPEC)
+    def test_304_while_unchanged_then_200_on_change(self, held_service):
+        service = held_service
+        # The blocker keeps the watched job QUEUED for the whole test.
+        record = service.submit(**dict(INLINE_SPEC, name="watched"))
         status, headers, _ = raw(
             service, "GET", f"/v1/jobs/{record['id']}"
         )

@@ -37,6 +37,13 @@ def make_scheduler(factory, journal_dir, **kwargs):
     )
 
 
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
 class TestQueuedJobSurvival:
     def test_queued_jobs_requeue_after_crash(self, tmp_path):
         factory = StubFactory()
@@ -85,11 +92,15 @@ class TestQueuedJobSurvival:
         scheduler = make_scheduler(factory, tmp_path)
         scheduler.start()
         running = scheduler.submit(spec("gate", budget=7))
+        # The worker must hold the gate job before the backlog queues
+        # and before stop() closes the queue; a busy process can delay
+        # its first pop past both.
+        wait_until(lambda: running.state == JobState.RUNNING)
         q1 = scheduler.submit(spec("q1", budget=8))
         q2 = scheduler.submit(spec("q2", budget=9))
         stopper = threading.Thread(target=scheduler.stop)
         stopper.start()
-        time.sleep(0.1)  # let stop() close the queue first
+        wait_until(lambda: scheduler.queue.closed)  # stop() closes first
         gate.set()
         stopper.join(timeout=10.0)
         assert not stopper.is_alive()
