@@ -5,11 +5,15 @@ outer join of all sources) and explores level-wise, spawning children by
 flipping one active entry off (a Reduct) per OpGen. Every spawned state is
 valuated and offered to the UPareto ε-grid; the search stops when N states
 are valuated, maxl levels are exhausted, or no new state can be generated.
+It is the package's one forward reduce search: distributed workers
+override :meth:`ApxMODis._children` at ``s_U``, ExactMODis overrides
+:meth:`ApxMODis._admit`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable
 
 from ...obs import span
 from ..state import State
@@ -21,12 +25,20 @@ class ApxMODis(SkylineAlgorithm):
 
     name = "ApxMODis"
 
+    def _children(self, parent: State) -> Iterable[tuple[int, str]]:
+        """OpGen: the ``(child_bits, op)`` reductions of ``parent``."""
+        return self.transducer.spawn(parent.bits, "forward")
+
+    def _admit(self, state: State) -> None:
+        """Take in one freshly valuated state: offer it to the ε-grid."""
+        self.grid.update(state)
+
     def _search(self) -> None:
         space = self.config.space
         start = State(bits=space.universal_bits, level=0, via="s_U")
         self.graph.add_state(start)
         self._valuate(start)
-        self.grid.update(start)
+        self._admit(start)
         queue: deque[State] = deque([start])
         visited: set[int] = {start.bits}
         # BFS visits parents in level order, so one "level" span brackets
@@ -52,9 +64,7 @@ class ApxMODis(SkylineAlgorithm):
                 self.report.n_levels = max(
                     self.report.n_levels, parent.level + 1
                 )
-                for child_bits, op in self.transducer.spawn(
-                    parent.bits, "forward"
-                ):
+                for child_bits, op in self._children(parent):
                     if child_bits in visited:
                         continue
                     visited.add(child_bits)
@@ -68,7 +78,7 @@ class ApxMODis(SkylineAlgorithm):
                     self.graph.add_transition(parent.bits, child_bits, op)
                     self.report.n_spawned += 1
                     self._valuate(child)
-                    self.grid.update(child)
+                    self._admit(child)
                     queue.append(child)
                     if self.budget_exhausted:
                         break

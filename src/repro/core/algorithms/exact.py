@@ -3,22 +3,21 @@
 The constructive proof of Theorem 1 outlines it: "(1) exhaust the runnings
 of a skyline generator T ... and valuate at most N possible states; (2)
 invoke a multi-objective optimizer such as Kung's algorithm." This is the
-ground-truth baseline the approximation algorithms are tested against: a
-full BFS over the running graph (both operator directions), valuation of
-every reachable state within the budget, the exact Pareto front of those
-states, and the user-range filter of the skyline definition.
+ground-truth baseline the approximation algorithms are tested against: the
+reduce-from-universal BFS of :class:`ApxMODis` (forward Reducts from
+``s_U``), keeping every valuated state within the budget instead of an
+ε-grid, then the exact Pareto front of those states and the user-range
+filter of the skyline definition.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from ..dominance import pareto_front
 from ..state import State
-from .base import SkylineAlgorithm
+from .apx import ApxMODis
 
 
-class ExactMODis(SkylineAlgorithm):
+class ExactMODis(ApxMODis):
     """Exhaustive valuation + the exact Pareto front of the valuated states."""
 
     name = "ExactMODis"
@@ -33,38 +32,14 @@ class ExactMODis(SkylineAlgorithm):
     def _verification_targets(self) -> list[State]:
         return self._front_states
 
+    def _admit(self, state: State) -> None:
+        # The ε-grid only feeds live progress (partial skyline, front
+        # size); the result is the exact front of every admitted state.
+        super()._admit(state)
+        self._all_states.append(state)
+
     def _search(self) -> None:
-        space = self.config.space
-        start = State(bits=space.universal_bits, level=0, via="s_U")
-        self.graph.add_state(start)
-        self._valuate(start)
-        self._all_states.append(start)
-        queue: deque[State] = deque([start])
-        visited: set[int] = {start.bits}
-        while queue and not self.budget_exhausted:
-            parent = queue.popleft()
-            if parent.level >= self.max_level:
-                continue
-            self.report.n_levels = max(self.report.n_levels, parent.level + 1)
-            for child_bits, op in self.transducer.spawn(parent.bits, "forward"):
-                if child_bits in visited:
-                    continue
-                visited.add(child_bits)
-                child = State(
-                    bits=child_bits,
-                    level=parent.level + 1,
-                    via=op,
-                    parent_bits=parent.bits,
-                )
-                self.graph.add_state(child)
-                self.graph.add_transition(parent.bits, child_bits, op)
-                self.report.n_spawned += 1
-                self._valuate(child)
-                self._all_states.append(child)
-                queue.append(child)
-                if self.budget_exhausted:
-                    self.report.terminated_by = "budget"
-                    break
+        super()._search()
         # Exact skyline over all valuated states.
         candidates = self._all_states
         if self.enforce_ranges:

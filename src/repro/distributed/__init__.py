@@ -7,10 +7,10 @@ runtime:
 * :mod:`repro.distributed.partition` — splits the level-1 operator
   frontier of the universal state across workers (each worker owns the
   subtrees rooted at its assigned first reductions);
-* :mod:`repro.distributed.worker` — a worker runs a budgeted local
-  reduce-from-universal search over its partition with its *own*
-  estimator and history (no shared state), then ships only its local
-  ε-skyline to the coordinator;
+* :mod:`repro.distributed.worker` — a worker runs ApxMODis over a fixed
+  level-1 frontier (its partition's seeds) with a slice of the budget and
+  its *own* estimator and history (no shared state), then ships only its
+  local ε-skyline to the coordinator;
 * :mod:`repro.distributed.coordinator` — :class:`DistributedMODis`
   executes all workers through a pluggable execution backend
   (:mod:`repro.exec`: serial, thread pool, or forked processes), merges

@@ -35,7 +35,7 @@ from ..core.state import State
 from ..core.transducer import RunningGraph
 from ..exceptions import SearchError
 from ..exec import Backend, make_backend
-from .partition import partition_frontier
+from .partition import partition_frontier, shard_budget
 from .worker import ShippedState, WorkerJob, WorkerResult, run_worker_job
 
 
@@ -189,14 +189,13 @@ class DistributedMODis:
         start = time.perf_counter()
         space = self.coordinator_config.space
         partitions = partition_frontier(space, self.n_workers)
-        per_worker_budget = max(1, self.budget // self.n_workers)
         jobs = [
             WorkerJob(
                 worker_id=worker_id,
                 config_factory=self.config_factory,
                 seeds=seeds,
                 epsilon=self.epsilon,
-                budget=per_worker_budget,
+                budget=shard_budget(self.budget, self.n_workers),
                 max_level=self.max_level,
             )
             for worker_id, seeds in enumerate(partitions)

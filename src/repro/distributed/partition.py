@@ -6,7 +6,7 @@ each child (and the subtree of states whose *first* reduction it is) to
 one worker yields disjoint exploration frontiers without any coordination
 during search: every state is reachable from s_U by some reduction order,
 so the union of subtrees still covers the space, while each worker prunes
-and valuates independently.
+and valuates independently within an equal slice of the global budget.
 """
 
 from __future__ import annotations
@@ -36,3 +36,8 @@ def partition_frontier(
     for i, seed in enumerate(frontier):
         partitions[i % n_workers].append(seed)
     return partitions
+
+
+def shard_budget(budget: int, n_shards: int) -> int:
+    """Each partition's slice of the global valuation budget (at least 1)."""
+    return max(1, budget // n_shards)

@@ -1,12 +1,15 @@
 """A distributed-MODis worker: budgeted local search over one partition.
 
 Each worker owns a private :class:`~repro.core.config.Configuration`
-(estimator and test history included — nothing is shared), explores only
-the subtrees rooted at its assigned level-1 seeds, and ships its local
-ε-skyline to the coordinator. Deeper states can be reachable from several
-workers' seeds; shared-nothing workers may therefore valuate a state twice
-across the cluster. The coordinator's merge dedupes by bitmap, and the
-duplication shows up honestly in the run statistics.
+(estimator and test history included — nothing is shared) and runs
+:class:`~repro.core.algorithms.apx.ApxMODis` over a fixed level-1
+frontier: OpGen at ``s_U`` lists only the worker's assigned seeds, and
+every deeper level expands exactly as single-node ApxMODis does. It
+ships its local ε-skyline to the coordinator. Deeper states can be
+reachable from several workers' seeds; shared-nothing workers may
+therefore valuate a state twice across the cluster. The coordinator's
+merge dedupes by bitmap, and the duplication shows up honestly in the
+run statistics.
 
 Execution-backend contract: a :class:`WorkerJob` closes over the
 configuration *factory* (built fresh inside the worker, so a forked child
@@ -17,25 +20,18 @@ picklable data that survives a process-pipe round-trip.
 
 from __future__ import annotations
 
-import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
+from ..core.algorithms.apx import ApxMODis
 from ..core.config import Configuration
 from ..core.state import State
-from ..exceptions import SearchError
-from ..core.algorithms.base import SkylineAlgorithm
 
 
-class _SeededApxMODis(SkylineAlgorithm):
-    """Reduce-from-universal search whose level-1 frontier is fixed.
-
-    Identical to ApxMODis except OpGen at the root yields only the
-    worker's seeds; all deeper levels expand normally.
-    """
+class _WorkerApxMODis(ApxMODis):
+    """ApxMODis whose OpGen at ``s_U`` lists only the worker's seeds."""
 
     name = "SeededApxMODis"
 
@@ -43,61 +39,10 @@ class _SeededApxMODis(SkylineAlgorithm):
         super().__init__(config, **kwargs)
         self.seeds = list(seeds)
 
-    def _search(self) -> None:
-        space = self.config.space
-        start = State(bits=space.universal_bits, level=0, via="s_U")
-        self.graph.add_state(start)
-        self._valuate(start)
-        self.grid.update(start)
-        queue: deque[State] = deque()
-        visited: set[int] = {start.bits}
-        for child_bits, op in self.seeds:
-            if child_bits in visited or self.budget_exhausted:
-                continue
-            visited.add(child_bits)
-            child = State(bits=child_bits, level=1, via=op,
-                          parent_bits=start.bits)
-            self.graph.add_state(child)
-            self.graph.add_transition(start.bits, child_bits, op)
-            self.report.n_spawned += 1
-            self._valuate(child)
-            self.grid.update(child)
-            queue.append(child)
-        self.report.n_levels = max(self.report.n_levels, 1 if queue else 0)
-        self._emit_level_progress()
-        current_level = 1
-        while queue:
-            if self.budget_exhausted:
-                self.report.terminated_by = "budget"
-                self._emit_level_progress()
-                return
-            parent = queue.popleft()
-            if parent.level >= self.max_level:
-                continue
-            if parent.level != current_level:
-                current_level = parent.level
-                self._emit_level_progress()
-            self.report.n_levels = max(self.report.n_levels, parent.level + 1)
-            for child_bits, op in self.transducer.spawn(parent.bits, "forward"):
-                if child_bits in visited:
-                    continue
-                visited.add(child_bits)
-                child = State(
-                    bits=child_bits,
-                    level=parent.level + 1,
-                    via=op,
-                    parent_bits=parent.bits,
-                )
-                self.graph.add_state(child)
-                self.graph.add_transition(parent.bits, child_bits, op)
-                self.report.n_spawned += 1
-                self._valuate(child)
-                self.grid.update(child)
-                queue.append(child)
-                if self.budget_exhausted:
-                    break
-        self.report.terminated_by = "exhausted"
-        self._emit_level_progress()
+    def _children(self, parent: State) -> Iterable[tuple[int, str]]:
+        if parent.level == 0:
+            return self.seeds
+        return super()._children(parent)
 
 
 @dataclass(slots=True)
@@ -139,19 +84,15 @@ class Worker:
         budget: int,
         max_level: int,
     ):
-        if budget < 1:
-            raise SearchError("worker budget must be >= 1")
         self.worker_id = worker_id
         self.config = config
-        self.algorithm = _SeededApxMODis(
+        self.algorithm = _WorkerApxMODis(
             config, seeds, epsilon=epsilon, budget=budget, max_level=max_level
         )
 
     def run(self, verify: bool = False) -> WorkerResult:
         """Execute the local search and package the local ε-skyline."""
-        start = time.perf_counter()
         self.algorithm.run(verify=verify)
-        elapsed = time.perf_counter() - start
         shipped = [
             ShippedState(
                 bits=state.bits,
@@ -168,7 +109,7 @@ class Worker:
             shipped=shipped,
             n_valuated=report.n_valuated,
             n_spawned=report.n_spawned,
-            elapsed_seconds=elapsed,
+            elapsed_seconds=report.elapsed_seconds,
             terminated_by=report.terminated_by,
         )
 
@@ -192,12 +133,11 @@ class WorkerJob:
 
 def run_worker_job(job: WorkerJob) -> WorkerResult:
     """Backend entry point: build the worker, run it, return plain data."""
-    worker = Worker(
+    return Worker(
         worker_id=job.worker_id,
         config=job.config_factory(),
         seeds=job.seeds,
         epsilon=job.epsilon,
         budget=job.budget,
         max_level=job.max_level,
-    )
-    return worker.run(verify=False)
+    ).run(verify=False)

@@ -1,4 +1,4 @@
-"""Per-job cProfile hooks.
+"""Per-job observation scaffold (:func:`observe_job`) and cProfile hooks.
 
 Profiles are written as raw ``pstats`` dumps named ``<job_id>.pstats``
 under the server's ``--profile-dir``. The dump happens in whichever
@@ -14,9 +14,12 @@ import cProfile
 import io
 import pstats
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
-__all__ = ["profile_to_file", "summarize_profile"]
+from .events import ProgressEmitter, use_emitter
+from .tracing import SpanCollector, span, use_collector
+
+__all__ = ["observe_job", "profile_to_file", "summarize_profile"]
 
 
 @contextlib.contextmanager
@@ -41,6 +44,26 @@ def profile_to_file(path: str | Path | None) -> Iterator[None]:
             profiler.dump_stats(str(path))
         except OSError:
             pass
+
+
+@contextlib.contextmanager
+def observe_job(
+    profile_path: str | Path | None,
+    progress_fd: int | None,
+    **run_attrs: Any,
+) -> Iterator[SpanCollector]:
+    """One backend unit's observation: a fresh span collector (yielded),
+    a progress emitter on ``progress_fd``, :func:`profile_to_file`, and
+    the root ``run`` span carrying ``run_attrs``."""
+    collector = SpanCollector()
+    emitter_cm = (
+        use_emitter(ProgressEmitter(progress_fd))
+        if progress_fd is not None
+        else contextlib.nullcontext()
+    )
+    with use_collector(collector), profile_to_file(profile_path), emitter_cm:
+        with span("run", **run_attrs):
+            yield collector
 
 
 def summarize_profile(path: str | Path, top: int = 20) -> str:

@@ -30,10 +30,10 @@ exit, discovery runs as jobs against a persistent service:
   :class:`~repro.exceptions.ApiError` subclasses rebuilt from the
   ``{"error": {code, message, detail}}`` envelope;
 * sharded jobs — ``shards=N`` submissions scatter the search across N
-  shard children via :class:`ShardRun` (the distributed runtime's
-  partitioned seeded search) and merge their local skylines with
-  :func:`merge_shard_results` into the parent's result, bit-identical
-  to an unsharded run when budgets are exhaustive;
+  shard children via :class:`ShardRun` (the distributed worker: ApxMODis
+  over a fixed slice of the level-1 frontier) and merge their local
+  skylines with :func:`merge_shard_results` into the parent's result,
+  bit-identical to an unsharded run when budgets are exhaustive;
 * journal leases — schedulers constructed with an explicit
   ``scheduler_id`` claim jobs via lease records in the shared journal,
   so several scheduler processes can serve one ``--journal-dir``; a

@@ -24,7 +24,8 @@ Record grammar (one JSON object per line)::
 
     {"v": 1, "ts": <epoch>, "type": "submitted", "job": {<snapshot>}}
     {"v": 1, "ts": <epoch>, "type": "started",   "id": "job-..."}
-    {"v": 1, "ts": <epoch>, "type": "retried",   "id": "...", "retries": n}
+    {"v": 1, "ts": <epoch>, "type": "retried",   "id": "...", "retries": n,
+     ["owner": "sched-...", "ttl": <seconds>]}
     {"v": 1, "ts": <epoch>, "type": "done" | "failed" | "cancelled",
      "id": "...", "job": {<snapshot>}}
     {"v": 1, "ts": <epoch>, "type": "snapshot",  "job": {<snapshot>}}
@@ -40,8 +41,10 @@ appending ``lease-acquired`` (and keeps it alive with periodic
 snapshot as ``lease_owner`` / ``lease_expires_at = ts + ttl`` — expiry
 itself is *evaluated by the reader* against its clock, so a SIGKILLed
 scheduler needs no cleanup: its leases simply stop being renewed and
-peers adopt the jobs once ``lease_expires_at`` passes. Lease records are
-additive (old readers count them as skipped lines), so they do not bump
+peers adopt the jobs once ``lease_expires_at`` passes. A new or retried
+job's lease rides on its strict ``submitted`` / ``retried`` record, so no
+peer replays it unleased between two appends. Lease records and fields
+are additive (old readers skip or ignore them), so they do not bump
 :data:`JOURNAL_VERSION`.
 
 where ``<snapshot>`` is :meth:`~repro.service.jobs.Job.to_snapshot` —
@@ -125,6 +128,24 @@ _SEGMENT_RE = re.compile(r"^journal-(\d{6,})\.jsonl$")
 
 #: Record types whose payload is a full job snapshot.
 _SNAPSHOT_TYPES = frozenset({"submitted", "snapshot", *JobState.TERMINAL})
+
+
+def _positive_ttl(kind: str, ttl: float | None) -> float:
+    if ttl is None or ttl <= 0:
+        raise ServiceError(f"{kind} needs a positive ttl, got {ttl!r}")
+    return float(ttl)
+
+
+def _fold_lease(snapshot: dict[str, Any], record: dict[str, Any]) -> None:
+    """Set a snapshot's lease from a record's ``owner``/``ts``/``ttl``
+    (a record without them leaves the job unleased)."""
+    snapshot["lease_owner"] = record.get("owner")
+    ts, ttl = record.get("ts"), record.get("ttl")
+    snapshot["lease_expires_at"] = (
+        float(ts) + float(ttl)
+        if isinstance(ts, (int, float)) and isinstance(ttl, (int, float))
+        else None
+    )
 
 
 def _segment_name(index: int) -> str:
@@ -362,11 +383,17 @@ class JobJournal:
         """A worker picked the job up; replay treats it as interrupted."""
         self._append({"type": "started", "id": job.id})
 
-    def record_retried(self, job: Job) -> None:
-        """A crash-interrupted run was re-queued; ``retries`` is durable."""
-        self._append(
-            {"type": "retried", "id": job.id, "retries": job.retries}
-        )
+    def record_retried(
+        self, job: Job, owner: str | None = None, ttl: float | None = None
+    ) -> None:
+        """A crash-interrupted run was re-queued; ``retries`` is durable.
+        With ``owner``, the record also leases the job for ``ttl`` s."""
+        record: dict[str, Any] = {
+            "type": "retried", "id": job.id, "retries": job.retries,
+        }
+        if owner is not None:
+            record.update(owner=owner, ttl=_positive_ttl("retried", ttl))
+        self._append(record)
 
     def record_lease(
         self,
@@ -387,11 +414,7 @@ class JobJournal:
             "type": f"lease-{action}", "id": job_id, "owner": owner,
         }
         if action != "released":
-            if ttl is None or ttl <= 0:
-                raise ServiceError(
-                    f"lease-{action} needs a positive ttl, got {ttl!r}"
-                )
-            record["ttl"] = float(ttl)
+            record["ttl"] = _positive_ttl(f"lease-{action}", ttl)
         self._append(record)
 
     def record_terminal(self, job: Job) -> None:
@@ -478,17 +501,9 @@ class JobJournal:
                 )
             snapshot["state"] = JobState.QUEUED
             snapshot["started_at"] = None
-            snapshot["lease_owner"] = None
-            snapshot["lease_expires_at"] = None
+            _fold_lease(snapshot, record)
         elif kind in ("lease-acquired", "lease-renewed"):
-            snapshot["lease_owner"] = record.get("owner")
-            ts, ttl = record.get("ts"), record.get("ttl")
-            snapshot["lease_expires_at"] = (
-                float(ts) + float(ttl)
-                if isinstance(ts, (int, float))
-                and isinstance(ttl, (int, float))
-                else None
-            )
+            _fold_lease(snapshot, record)
         elif kind == "lease-released":
             snapshot["lease_owner"] = None
             snapshot["lease_expires_at"] = None

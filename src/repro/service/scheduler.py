@@ -33,8 +33,8 @@ measured against the cold run that seeded the key's store.
 
 **Sharded jobs.** A ``shards=N`` submission fans out as one coordinating
 *parent* plus ``N`` shard children (see :mod:`repro.service.sharding`):
-each child runs the distributed runtime's seeded reduce-search over its
-slice of the level-1 frontier, and whichever worker completes the last
+each child runs the distributed worker — ApxMODis over its slice of the
+level-1 frontier — and whichever worker completes the last
 child merges every shipped local skyline into the parent's result.
 Sharded jobs bypass the result cache, in-flight dedup, and the oracle
 store — shard results are partial by construction and must never poison
@@ -67,6 +67,7 @@ import os
 import threading
 import time
 import uuid
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Collection, Mapping
 
@@ -79,7 +80,7 @@ from ..exceptions import (
 )
 from ..exec import Backend, make_backend
 from ..logging_util import get_logger, log_context
-from ..obs import MetricsRegistry, SpanCollector, span, use_collector
+from ..obs import MetricsRegistry, span
 from ..obs.events import (
     JOB_CANCELLED,
     JOB_DONE,
@@ -89,12 +90,10 @@ from ..obs.events import (
     JOB_STARTED,
     JOB_SUBMITTED,
     EventBus,
-    ProgressEmitter,
     drain_progress,
-    use_emitter,
 )
 from ..obs.metrics import render_prometheus
-from ..obs.profiling import profile_to_file, summarize_profile
+from ..obs.profiling import observe_job, summarize_profile
 from ..report import build_payload
 from ..scenarios.cache import ResultCache
 from ..scenarios.factory import ResolvedScenario, ScenarioFactory
@@ -315,6 +314,7 @@ def _parent_trace(
     return spans
 
 
+@dataclass(slots=True)
 class _JobRun:
     """The unit shipped to a backend: run one resolved scenario.
 
@@ -325,46 +325,25 @@ class _JobRun:
     store must cross the process boundary so quota-exhausted work still
     warm-starts the next attempt.
 
-    Observability: the run installs a fresh span collector, so every
-    ``obs.span`` opened below it (search levels, oracle fits, valuation
-    batches, pareto thinning) lands in the returned ``"spans"`` list —
-    plain dicts, so they cross the process pipe like everything else.
-    With ``profile_path`` set, the whole run is additionally wrapped in
-    cProfile and dumped to that path *from the executing process* (the
-    fork child shares the filesystem; no profile bytes cross the pipe).
+    Observability: under :func:`~repro.obs.profiling.observe_job`, every
+    ``obs.span`` opened below the run (search levels, oracle fits,
+    valuation batches, pareto thinning) lands in the returned ``"spans"``
+    list of plain dicts, which cross the process pipe like everything
+    else. A ``profile_path`` profile is dumped *from the executing
+    process* (the fork child shares the filesystem).
     """
 
-    __slots__ = (
-        "resolved",
-        "store",
-        "timeout",
-        "max_oracle_calls",
-        "job_id",
-        "profile_path",
-        "progress_fd",
-    )
-
-    def __init__(
-        self,
-        resolved: ResolvedScenario,
-        store: TestStore | None,
-        timeout: float | None = None,
-        max_oracle_calls: int | None = None,
-        job_id: str | None = None,
-        profile_path: str | None = None,
-        progress_fd: int | None = None,
-    ):
-        self.resolved = resolved
-        self.store = store
-        self.timeout = timeout
-        self.max_oracle_calls = max_oracle_calls
-        self.job_id = job_id
-        self.profile_path = profile_path
-        #: write end of the scheduler's per-job progress pipe. Inherited
-        #: across the process backend's fork, shared directly on the
-        #: serial/thread backends — the live-progress channel is the same
-        #: either way.
-        self.progress_fd = progress_fd
+    resolved: ResolvedScenario
+    store: TestStore | None
+    timeout: float | None = None
+    max_oracle_calls: int | None = None
+    job_id: str | None = None
+    profile_path: str | None = None
+    #: write end of the scheduler's per-job progress pipe. Inherited
+    #: across the process backend's fork, shared directly on the
+    #: serial/thread backends — the live-progress channel is the same
+    #: either way.
+    progress_fd: int | None = None
 
     def __call__(self) -> dict[str, Any]:
         # The deadline starts BEFORE build: both the cooperative clock
@@ -375,35 +354,28 @@ class _JobRun:
             time.monotonic() + self.timeout
             if self.timeout is not None else None
         )
-        collector = SpanCollector()
         limit = None
         result = None
-        emitter_cm = (
-            use_emitter(ProgressEmitter(self.progress_fd))
-            if self.progress_fd is not None
-            else contextlib.nullcontext()
-        )
-        with use_collector(collector), profile_to_file(
-            self.profile_path
-        ), emitter_cm:
-            with span("run", job_id=self.job_id):
-                with span("scenario-build"):
-                    runnable = self.resolved.build(store=self.store)
-                config = getattr(runnable, "config", None)
-                if config is not None and (
-                    deadline is not None or self.max_oracle_calls is not None
-                ):
-                    oracle = getattr(config.estimator, "oracle", None)
-                    if oracle is not None:
-                        config.estimator.oracle = _OracleGuard(
-                            oracle, deadline, self.max_oracle_calls
-                        )
-                start = time.perf_counter()
-                try:
-                    result = runnable.run(verify=self.resolved.spec.verify)
-                except JobLimitExceeded as exc:
-                    limit = exc.reason
-                seconds = time.perf_counter() - start
+        with observe_job(
+            self.profile_path, self.progress_fd, job_id=self.job_id
+        ) as collector:
+            with span("scenario-build"):
+                runnable = self.resolved.build(store=self.store)
+            config = getattr(runnable, "config", None)
+            if config is not None and (
+                deadline is not None or self.max_oracle_calls is not None
+            ):
+                oracle = getattr(config.estimator, "oracle", None)
+                if oracle is not None:
+                    config.estimator.oracle = _OracleGuard(
+                        oracle, deadline, self.max_oracle_calls
+                    )
+            start = time.perf_counter()
+            try:
+                result = runnable.run(verify=self.resolved.spec.verify)
+            except JobLimitExceeded as exc:
+                limit = exc.reason
+            seconds = time.perf_counter() - start
         oracle_calls = None
         store_rows = None
         if config is not None:
@@ -679,11 +651,13 @@ class Scheduler:
           the children's results;
         * ``retry`` / ``fail-retry-budget``: charge and journal the crash
           retry *before* the job is tracked, so a charge that cannot be
-          made durable never lets it run again. With ``strict`` (boot)
-          the append error propagates; otherwise the job is left as the
-          journal has it for the next pass;
-        * ``retry`` / ``requeue``: take the lease, then rejoin in-flight
-          dedup as the follower of an identical job, or queue the job;
+          made durable never lets it run again. The ``retried`` record
+          also carries our lease. With ``strict`` (boot) the append
+          error propagates; otherwise the job is left as the journal has
+          it for the next pass;
+        * ``retry`` / ``requeue``: take the lease (``requeue`` by its own
+          record), then rejoin in-flight dedup as the follower of an
+          identical job, or queue the job;
         * ``drop``: a snapshot that cannot be rebuilt, reported once.
 
         Returns ``(job id, action, followed)`` per job taken over;
@@ -716,6 +690,7 @@ class Scheduler:
                 job.started_at = None
                 if action == "retry":
                     job.state = JobState.QUEUED
+                    self._claim_lease(job)
                 else:
                     job.state = JobState.FAILED
                     job.finished_at = job.updated_at = time.time()
@@ -728,7 +703,12 @@ class Scheduler:
                     if job.terminal:
                         self.journal.record_terminal(job)
                     else:
-                        self.journal.record_retried(job)
+                        self.journal.record_retried(
+                            job,
+                            self.scheduler_id if self.leases_enabled
+                            else None,
+                            self.lease_ttl,
+                        )
                 except Exception:
                     if strict:
                         raise
@@ -741,6 +721,8 @@ class Scheduler:
                 self._retries_total.inc()
             self._track(job)
             followed = False
+            if action in ("remerge", "requeue"):
+                self._acquire_lease(job)  # a retry's rode on its record
             if job.terminal:
                 if action == "fail-retry-budget":
                     self._publish_terminal(job)
@@ -748,9 +730,7 @@ class Scheduler:
             elif action == "remerge":
                 job.state = JobState.QUEUED
                 job.started_at = None
-                self._acquire_lease(job)
             elif action != "peer":
-                self._acquire_lease(job)
                 # Shard children share their parent's fingerprint by
                 # construction, so content dedup skips them.
                 fingerprint = (
@@ -857,6 +837,8 @@ class Scheduler:
         )
         fingerprint = spec.fingerprint()
         with self._lock:
+            if record is None:
+                self._claim_lease(job)
             self._register_submission([job])
             self._submitted.inc()
             self._publish_event(JOB_SUBMITTED, job)
@@ -886,7 +868,6 @@ class Scheduler:
                     # Identical work already in flight: don't run it twice.
                     self._followers.setdefault(primary.id, []).append(job.id)
                     self._dedup_hits.inc()
-                    self._acquire_lease(job)
                     if (
                         job.priority > primary.priority
                         and primary.state == JobState.QUEUED
@@ -913,7 +894,6 @@ class Scheduler:
                     return job
                 self._inflight[fingerprint] = job.id
                 self._fingerprints[job.id] = fingerprint
-                self._acquire_lease(job)
         if job.terminal:  # cache hit: compact outside the lock if due
             self._maybe_compact_journal()
             return job
@@ -997,6 +977,8 @@ class Scheduler:
             for index in range(shards)
         ]
         with self._lock:
+            for job in (parent, *children):
+                self._claim_lease(job)
             self._register_submission([parent, *children])
             self._submitted.inc()
             self._shard_children[parent.id] = [c.id for c in children]
@@ -1009,9 +991,6 @@ class Scheduler:
                     parent_id=parent.id,
                     shard_index=child.shard_index,
                 )
-            self._acquire_lease(parent)
-            for child in children:
-                self._acquire_lease(child)
         closed = False
         for child in children:
             try:
@@ -1107,18 +1086,12 @@ class Scheduler:
     # noise. Only compaction — an O(retained jobs) rewrite — runs outside
     # it; an append can briefly queue behind one on the journal's own
     # lock, bounded by the journal's terminal-retention cap.
-    def _journal_submitted(self, job: Job) -> None:
-        """Strict WAL write: a submission the journal cannot record is a
-        submission durability cannot honor, so the error propagates."""
-        if self.journal is not None:
-            self.journal.record_submitted(job)
-
     def _register_submission(self, jobs: list[Job]) -> None:
         """Register and journal one submission's records, all or none.
 
-        Strict WAL: a submission that cannot be made durable never
-        happened — the in-memory registration is unwound so no later
-        submission dedups against a phantom job. A failed append is
+        Strict WAL (errors propagate): a submission that cannot be made
+        durable never happened — the in-memory registration is unwound so
+        no later submission dedups against a phantom job. A failed append is
         *indeterminate* (an fsync error can land after the bytes hit the
         file), so every record that may have got through gets a
         compensating cancelled record; if even that fails, the worst case
@@ -1129,7 +1102,8 @@ class Scheduler:
             for job in jobs:
                 self.jobs[job.id] = job
                 attempted.append(job)
-                self._journal_submitted(job)
+                if self.journal is not None:
+                    self.journal.record_submitted(job)
         except Exception:
             for job in jobs:
                 self.jobs.pop(job.id, None)
@@ -1391,8 +1365,15 @@ class Scheduler:
             job, "record_lease", job.id, action, self.scheduler_id,
             self.lease_ttl,
         )
-        job.lease_owner = self.scheduler_id
-        job.lease_expires_at = time.time() + self.lease_ttl
+        self._claim_lease(job)
+
+    def _claim_lease(self, job: Job) -> None:
+        """Lease ``job`` to this scheduler in memory only: its next strict
+        record (``submitted`` / ``retried``) carries the lease, so no peer
+        replays it unleased between two appends or after a lost line."""
+        if self.leases_enabled:
+            job.lease_owner = self.scheduler_id
+            job.lease_expires_at = time.time() + self.lease_ttl
 
     def _release_lease(self, job: Job) -> None:
         """Drop this scheduler's lease at terminal time (lock held)."""
@@ -1866,8 +1847,8 @@ class Scheduler:
     def _run_shard(
         self, job: Job, fields: dict[str, Any]
     ) -> list[dict[str, Any]] | None:
-        """Run one shard child's slice of the seeded reduce-search; its
-        result is the local skyline the parent merges."""
+        """Run one shard child: ApxMODis over its slice of the level-1
+        frontier; its result is the local skyline the parent merges."""
         resolved = self.factory.resolve(job.spec)
         outcome, spans = self._run_with_progress(
             job,

@@ -1,15 +1,17 @@
 """Sharded search jobs: scatter one submission, merge one skyline.
 
 A ``shards=N`` submission fans one scenario out as ``N`` shard children
-plus one coordinating *parent* job. Each child runs
-:class:`~repro.distributed.worker.WorkerJob` — the seeded reduce-search
-of the distributed runtime — over its slice of the level-1 frontier
-(:func:`~repro.distributed.partition.partition_frontier`), with an equal
-slice of the global valuation budget, and records its local ε-skyline as
-its job result. When the last child finishes, the scheduler merges every
-shipped state through :func:`~repro.distributed.coordinator.merge_skylines`
-(dedupe by bitmap → fresh UPareto grid → exact
-:func:`~repro.core.dominance.pareto_front`) into the parent's result.
+plus one coordinating *parent* job. Each child runs the distributed
+:class:`~repro.distributed.worker.Worker` — ApxMODis over a fixed level-1
+frontier, its slice of
+:func:`~repro.distributed.partition.partition_frontier` — with an equal
+slice of the global valuation budget
+(:func:`~repro.distributed.partition.shard_budget`), and records its
+local ε-skyline as its job result. When the last child finishes, the
+scheduler merges every shipped state through
+:func:`~repro.distributed.coordinator.merge_skylines` (dedupe by bitmap →
+fresh UPareto grid → exact :func:`~repro.core.dominance.pareto_front`)
+into the parent's result.
 
 Determinism: before merging, the union of shipped states is sorted by
 bitmap. The ε-grid keeps one representative per cell and breaks exact
@@ -26,100 +28,74 @@ so shard results survive the journal, the process backend's pipe, and
 
 from __future__ import annotations
 
-import contextlib
 import time
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from ..core.algorithms.base import skyline_entries
 from ..distributed.coordinator import merge_skylines, verify_front
-from ..distributed.partition import partition_frontier
-from ..distributed.worker import ShippedState, WorkerJob, run_worker_job
+from ..distributed.partition import partition_frontier, shard_budget
+from ..distributed.worker import ShippedState, Worker
 from ..exceptions import ServiceError
-from ..obs import ProgressEmitter, SpanCollector, span, use_collector, use_emitter
-from ..obs.profiling import profile_to_file
+from ..obs import span
+from ..obs.profiling import observe_job
 from ..scenarios.factory import ResolvedScenario
 
 #: ``algorithm`` reported on merged parent results.
 SHARDED_ALGORITHM = "ShardedMODis"
 
 
-def shard_budget(budget: int, n_shards: int) -> int:
-    """Each shard's slice of the global valuation budget (at least 1)."""
-    return max(1, budget // n_shards)
-
-
+@dataclass(slots=True)
 class ShardRun:
-    """The backend unit for one shard: seeded local search, plain result.
+    """The backend unit for one shard: ApxMODis over its seeds, plain result.
 
-    Mirrors the scheduler's ``_JobRun`` contract — fork-friendly and
-    returning only JSON-able data — but runs the distributed worker's
-    seeded search over partition ``shard_index`` of ``n_shards`` instead
-    of the scenario's single-node algorithm. Like ``_JobRun``, it
-    installs a span collector for the duration of the run, so the
-    seeded search's per-phase spans come back as the ``"spans"`` list
-    (which the scheduler persists as the shard child's trace).
+    Mirrors the scheduler's ``_JobRun`` contract (fork-friendly, plain
+    JSON-able result, run under :func:`~repro.obs.profiling.observe_job`)
+    but runs the distributed worker — ApxMODis whose level-1 frontier is
+    partition ``shard_index`` of ``n_shards`` — instead of the scenario's
+    single-node algorithm. Its ``"spans"`` become the shard child's trace.
     """
 
-    __slots__ = (
-        "resolved", "n_shards", "shard_index", "job_id", "profile_path",
-        "progress_fd",
-    )
+    resolved: ResolvedScenario
+    n_shards: int
+    shard_index: int
+    job_id: str | None = None
+    profile_path: str | None = None
+    progress_fd: int | None = None
 
-    def __init__(
-        self,
-        resolved: ResolvedScenario,
-        n_shards: int,
-        shard_index: int,
-        job_id: str | None = None,
-        profile_path: str | None = None,
-        progress_fd: int | None = None,
-    ):
-        if not 0 <= shard_index < n_shards:
+    def __post_init__(self) -> None:
+        if not 0 <= self.shard_index < self.n_shards:
             raise ServiceError(
-                f"shard_index {shard_index} outside 0..{n_shards - 1}"
+                f"shard_index {self.shard_index} outside "
+                f"0..{self.n_shards - 1}"
             )
-        self.resolved = resolved
-        self.n_shards = n_shards
-        self.shard_index = shard_index
-        self.job_id = job_id
-        self.profile_path = profile_path
-        self.progress_fd = progress_fd
 
     def __call__(self) -> dict[str, Any]:
         spec = self.resolved.spec
         task = self.resolved.task
-        collector = SpanCollector()
-        emitter_cm = (
-            use_emitter(ProgressEmitter(self.progress_fd))
-            if self.progress_fd is not None
-            else contextlib.nullcontext()
-        )
         start = time.perf_counter()
-        with use_collector(collector), profile_to_file(
-            self.profile_path
-        ), emitter_cm:
-            with span(
-                "run", job_id=self.job_id, shard_index=self.shard_index
-            ):
-                with span("partition-frontier"):
-                    seeds = partition_frontier(task.space, self.n_shards)[
-                        self.shard_index
-                    ]
-                result = run_worker_job(
-                    WorkerJob(
-                        worker_id=self.shard_index,
-                        config_factory=lambda: task.build_config(
-                            estimator=spec.estimator,
-                            n_bootstrap=spec.n_bootstrap,
-                        ),
-                        seeds=seeds,
-                        epsilon=spec.epsilon,
-                        budget=shard_budget(spec.budget, self.n_shards),
-                        max_level=spec.max_level,
-                    )
-                )
+        with observe_job(
+            self.profile_path,
+            self.progress_fd,
+            job_id=self.job_id,
+            shard_index=self.shard_index,
+        ) as collector:
+            with span("partition-frontier"):
+                seeds = partition_frontier(task.space, self.n_shards)[
+                    self.shard_index
+                ]
+            result = Worker(
+                worker_id=self.shard_index,
+                config=task.build_config(
+                    estimator=spec.estimator, n_bootstrap=spec.n_bootstrap
+                ),
+                seeds=seeds,
+                epsilon=spec.epsilon,
+                budget=shard_budget(spec.budget, self.n_shards),
+                max_level=spec.max_level,
+            ).run()
         return {
             "spans": collector.spans,
             "spans_dropped": collector.dropped,
@@ -143,17 +119,15 @@ class ShardRun:
 
 def _shipped_from_payload(payload: Mapping[str, Any]) -> list[ShippedState]:
     """Rebuild a shard result's shipped states from their JSON form."""
-    states = []
-    for item in payload.get("shipped", []):
-        states.append(
-            ShippedState(
-                bits=int(item["bits"]),
-                perf=np.asarray(item["perf"], dtype=float),
-                via=str(item.get("via") or "s_U"),
-                output_size=tuple(item.get("output_size") or (0, 0)),
-            )
+    return [
+        ShippedState(
+            bits=int(item["bits"]),
+            perf=np.asarray(item["perf"], dtype=float),
+            via=str(item.get("via") or "s_U"),
+            output_size=tuple(item.get("output_size") or (0, 0)),
         )
-    return states
+        for item in payload.get("shipped", [])
+    ]
 
 
 def merge_shard_results(
@@ -185,12 +159,8 @@ def merge_shard_results(
     )
     merge_start = time.perf_counter()
     merged = merge_skylines([shipped], measures, spec.epsilon)
-    if verify and merged:
-        oracle = task.build_config(
-            estimator=spec.estimator, n_bootstrap=spec.n_bootstrap
-        ).oracle
-        if oracle is not None:
-            merged = verify_front(merged, oracle, task.space, measures)
+    if verify and merged and task.oracle is not None:
+        merged = verify_front(merged, task.oracle, task.space, measures)
     # Entries are ordered by (performance, bitmap): skyline_entries'
     # stable sort keeps this bitmap order among equal performances.
     merged.sort(key=lambda state: state.bits)

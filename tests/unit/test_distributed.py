@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ApxMODis
+from repro.core import ApxMODis, ExactMODis
 from repro.core.config import Configuration
 from repro.core.dominance import dominates
 from repro.core.estimator import OracleEstimator
@@ -110,6 +110,61 @@ class TestWorker:
         config = make_config()
         with pytest.raises(SearchError):
             Worker(0, config, [], epsilon=0.2, budget=0, max_level=3)
+
+
+def search_fingerprint(algo):
+    """Everything the shared reduce loop decides, in insertion order."""
+    return (
+        [(s.bits, s.level, s.via) for s in algo.graph.states.values()],
+        [(t.parent_bits, t.child_bits, t.op) for t in algo.graph.transitions],
+        [(s.bits, tuple(s.perf)) for s in algo.grid.states],
+        algo.report.n_valuated,
+        algo.report.n_spawned,
+        algo.report.n_levels,
+        algo.report.terminated_by,
+    )
+
+
+class TestOneReduceLoop:
+    """Workers and ExactMODis run ApxMODis's BFS, not copies of it."""
+
+    @pytest.mark.parametrize(
+        "budget,max_level", [(1, 3), (2, 1), (5, 2), (9, 3), (200, 6)]
+    )
+    def test_full_frontier_worker_is_plain_apxmodis(self, budget, max_level):
+        seeds = partition_frontier(make_config().space, 1)[0]
+        worker = Worker(0, make_config(), seeds, epsilon=0.2,
+                        budget=budget, max_level=max_level)
+        worker.run()
+        plain = ApxMODis(make_config(), epsilon=0.2, budget=budget,
+                         max_level=max_level)
+        plain.run(verify=False)
+        assert search_fingerprint(worker.algorithm) == search_fingerprint(
+            plain
+        )
+
+    @pytest.mark.parametrize("budget,max_level", [(4, 2), (30, 4)])
+    def test_exact_valuates_what_apxmodis_spawns(self, budget, max_level):
+        exact = ExactMODis(make_config(), budget=budget, max_level=max_level)
+        exact.run(verify=False)
+        plain = ApxMODis(make_config(), budget=budget, max_level=max_level)
+        plain.run(verify=False)
+        assert [s.bits for s in exact.all_valuated_states] == list(
+            plain.graph.states
+        )
+        assert search_fingerprint(exact)[3:] == search_fingerprint(plain)[3:]
+
+    def test_budget_one_terminates_by_budget(self):
+        for algo in (
+            ApxMODis(make_config(), budget=1),
+            ExactMODis(make_config(), budget=1),
+        ):
+            algo.run(verify=False)
+            assert algo.report.terminated_by == "budget", algo.name
+        seeds = partition_frontier(make_config().space, 2)[0]
+        worker = Worker(0, make_config(), seeds, epsilon=0.2, budget=1,
+                        max_level=3)
+        assert worker.run().terminated_by == "budget"
 
 
 class TestMerge:

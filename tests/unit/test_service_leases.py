@@ -402,7 +402,7 @@ class TestOneTakeoverPath:
         )
         clock.offset = 60.0
 
-        def broken(job):
+        def broken(*args, **kwargs):
             raise OSError("disk full")
 
         original = survivor.journal.record_retried
@@ -421,3 +421,76 @@ class TestOneTakeoverPath:
         adopted = survivor.get(job.id)
         assert (adopted.state, adopted.retries) == (JobState.QUEUED, 1)
         assert survivor.queue.depth == 1
+
+
+def lease_appends_fail(scheduler):
+    """Make every ``lease-*`` append of ``scheduler`` fail."""
+    def broken(*args, **kwargs):
+        raise OSError("disk full")
+
+    scheduler.journal.record_lease = broken
+
+
+class TestLeaseRidesOnStrictRecords:
+    """A job's first lease is in its strict record, not a later append:
+    a lost ``lease-acquired`` line can never let a peer adopt it."""
+
+    def test_submitted_snapshot_carries_the_lease(self, tmp_path):
+        peer = stub_scheduler(
+            tmp_path, scheduler_id="sched-b", lease_ttl=300.0
+        )
+        owner = stub_scheduler(
+            tmp_path, scheduler_id="sched-a", lease_ttl=300.0
+        )
+        lease_appends_fail(owner)
+        job = owner.submit(spec("j1"))
+        assert lease_lines(tmp_path) == []
+
+        stats = peer.sweep_leases()
+        assert (stats["adopted"], stats["imported"]) == (0, 1)
+        assert peer.queue.depth == 0
+        assert peer.get(job.id).lease_owner == "sched-a"
+        del owner
+
+    def test_retried_record_carries_the_lease(self, tmp_path, clock):
+        crashed = stub_scheduler(
+            tmp_path, scheduler_id="sched-a", lease_ttl=5.0
+        )
+        job = crashed.submit(spec("j1"))
+        job.transition(JobState.RUNNING)
+        crashed._journal_started(job)
+        del crashed
+        survivor, third = (
+            stub_scheduler(tmp_path, scheduler_id=sid, lease_ttl=3600.0)
+            for sid in ("sched-b", "sched-c")
+        )
+        assert third.get(job.id).lease_owner == "sched-a"
+
+        lease_appends_fail(survivor)
+        clock.offset = 60.0
+        assert survivor.sweep_leases()["adopted"] == 1
+        adopted = survivor.get(job.id)
+        assert (adopted.state, adopted.retries, adopted.lease_owner) == (
+            JobState.QUEUED, 1, "sched-b"
+        )
+        snapshot = JobJournal(tmp_path).replay().jobs[job.id]
+        assert snapshot["lease_owner"] == "sched-b"
+
+        assert third.sweep_leases()["adopted"] == 0
+        assert third.queue.depth == 0
+        assert third.get(job.id).lease_owner == "sched-b"
+        del survivor
+
+    def test_retried_record_without_owner_leaves_the_job_unleased(
+        self, tmp_path
+    ):
+        journal = JobJournal(tmp_path)
+        scheduler = stub_scheduler(tmp_path, scheduler_id="sched-a")
+        job = scheduler.submit(spec("j1"))
+        journal.record_retried(job)
+        snapshot = JobJournal(tmp_path).replay().jobs[job.id]
+        assert (snapshot["lease_owner"], snapshot["lease_expires_at"]) == (
+            None, None
+        )
+        with pytest.raises(ServiceError, match="positive ttl"):
+            journal.record_retried(job, "sched-a", ttl=0)

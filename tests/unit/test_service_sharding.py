@@ -107,6 +107,22 @@ class TestFanOut:
             assert metrics["shards"]["children"] == 2
             assert metrics["shards"]["in_flight"] == 0
 
+    def test_shard_child_trace_has_level_spans(self):
+        # Shards run ApxMODis's own loop, so their traces bracket each
+        # BFS level like a single-node run does.
+        with Scheduler(n_workers=2) as scheduler:
+            parent = scheduler.submit(Scenario(**QUICK), shards=2)
+            assert scheduler.wait(parent.id, timeout=120).state == "done"
+            payload = scheduler.trace(parent.id)
+        assert len(payload["shards"]) == 2
+        for child in payload["shards"]:
+            levels = [
+                s["attrs"]["level"]
+                for s in child["spans"]
+                if s["name"] == "level"
+            ]
+            assert levels and levels[0] == 1
+
     def test_sharded_jobs_bypass_cache_and_dedup(self, tmp_path):
         from repro.scenarios.cache import ResultCache
 
