@@ -18,6 +18,11 @@ level by level), timed cold (every state distinct, caches empty).
 Two hard gates back the PR's acceptance criteria: the columnar path must be
 ≥3× faster, and a real BiMODis search must return a bit-identical skyline
 through either path.
+
+A second row records T3 (the linear-model task, whose universal table has
+nullable numeric columns) at scale 0.5 under the same cold protocol. It
+has no speed floor; every one of its states must encode bit-identically
+to the legacy encoder.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from repro.rng import make_rng
 
 TASK = "T1"
 SCALE = 1.0
+T3_SCALE = 0.5
 N_DOUBLE_FLIPS = 80
 REPEATS = 3
 SPEEDUP_FLOOR = 3.0
@@ -56,18 +62,27 @@ def _search_realistic_bitmaps(space) -> list[int]:
     return list(dict.fromkeys(bitmaps))
 
 
-def _time_legacy(space, target: str, bitmaps: list[int]) -> float:
-    """Seconds for one cold pass of the pre-columnar valuation prologue."""
+def _legacy_encodings(space, target: str, bitmaps: list[int]) -> list:
+    """The pre-columnar valuation prologue's ``(X, y)`` per state: project
+    and take a Table, fit a fresh encoder (None where it raises — a
+    degenerate state both paths short-circuit)."""
     universal = space.universal
-    start = time.perf_counter()
+    encodings = []
     for bits in bitmaps:
         table = universal.project(
             space.active_attributes(bits) + [target]
         ).take(np.flatnonzero(space.row_mask(bits)).tolist())
         try:
-            TableEncoder(target=target).fit_transform(table)
+            encodings.append(TableEncoder(target=target).fit_transform(table))
         except Exception:
-            pass  # degenerate state: both paths short-circuit it
+            encodings.append(None)
+    return encodings
+
+
+def _time_legacy(space, target: str, bitmaps: list[int]) -> float:
+    """Seconds for one cold pass of the pre-columnar valuation prologue."""
+    start = time.perf_counter()
+    _legacy_encodings(space, target, bitmaps)
     return time.perf_counter() - start
 
 
@@ -78,6 +93,58 @@ def _time_columnar(space, bitmaps: list[int]) -> float:
     for bits in bitmaps:
         store.encode_subset(space.row_mask(bits), space.active_attributes(bits))
     return time.perf_counter() - start
+
+
+def _cold_pass_seconds(task) -> tuple[int, float, float]:
+    """(states, legacy s, columnar s): best of ``REPEATS`` cold passes over
+    the search-realistic bitmaps, masks and the one-time encoding built
+    outside the timer."""
+    space = task.space
+    bitmaps = _search_realistic_bitmaps(space)
+    for bits in bitmaps:  # warm the shared mask cache for both paths
+        space.row_mask(bits)
+    space.column_store  # build the one-time encoding outside the timer
+    legacy = min(
+        _time_legacy(space, task.target, bitmaps) for _ in range(REPEATS)
+    )
+    columnar = min(_time_columnar(space, bitmaps) for _ in range(REPEATS))
+    return len(bitmaps), legacy, columnar
+
+
+def _encodings_identical(task) -> bool:
+    """Every search-realistic state's columnar ``(X, y)`` equals the legacy
+    encoder's; a state the encoder rejects must encode to an empty view."""
+    space = task.space
+    bitmaps = _search_realistic_bitmaps(space)
+    store = space.column_store
+    for bits, legacy in zip(
+        bitmaps, _legacy_encodings(space, task.target, bitmaps)
+    ):
+        view = store.encode_subset(
+            space.row_mask(bits), space.active_attributes(bits)
+        )
+        if legacy is None:
+            if view.X.shape[0] and view.X.shape[1]:
+                return False
+        elif not (
+            np.array_equal(view.X, legacy[0])
+            and np.array_equal(view.y, legacy[1])
+        ):
+            return False
+    return True
+
+
+def _rates(n: int, legacy_s: float, columnar_s: float) -> dict:
+    return {
+        "legacy": {
+            "valuations_per_s": round(n / legacy_s, 1),
+            "ms_per_state": round(legacy_s * 1000 / n, 3),
+        },
+        "columnar": {
+            "valuations_per_s": round(n / columnar_s, 1),
+            "ms_per_state": round(columnar_s * 1000 / n, 3),
+        },
+    }
 
 
 def _skyline(task, fast: bool) -> list[tuple[int, tuple[float, ...]]]:
@@ -101,36 +168,28 @@ def _skyline(task, fast: bool) -> list[tuple[int, tuple[float, ...]]]:
 
 def test_columnar_materialization_speedup(benchmark):
     task = bench_task(TASK, scale=SCALE)
+    t3 = bench_task("T3", scale=T3_SCALE)
     space = task.space
-    bitmaps = _search_realistic_bitmaps(space)
-    for bits in bitmaps:  # warm the shared mask cache for both paths
-        space.row_mask(bits)
-    space.column_store  # build the one-time encoding outside the timer
 
     def run():
-        legacy = min(
-            _time_legacy(space, task.target, bitmaps) for _ in range(REPEATS)
-        )
-        columnar = min(_time_columnar(space, bitmaps) for _ in range(REPEATS))
-        return legacy, columnar
+        return _cold_pass_seconds(task), _cold_pass_seconds(t3)
 
-    legacy_s, columnar_s = benchmark.pedantic(run, rounds=1, iterations=1)
-    n = len(bitmaps)
+    (n, legacy_s, columnar_s), (t3_n, t3_legacy_s, t3_columnar_s) = (
+        benchmark.pedantic(run, rounds=1, iterations=1)
+    )
     speedup = legacy_s / max(columnar_s, 1e-12)
-    rows = {
-        "legacy": {
-            "valuations_per_s": round(n / legacy_s, 1),
-            "ms_per_state": round(legacy_s * 1000 / n, 3),
-        },
-        "columnar": {
-            "valuations_per_s": round(n / columnar_s, 1),
-            "ms_per_state": round(columnar_s * 1000 / n, 3),
-        },
-    }
+    t3_speedup = t3_legacy_s / max(t3_columnar_s, 1e-12)
     print_table(
-        f"Materialization throughput: {TASK} scale {SCALE}, {n} states", rows
+        f"Materialization throughput: {TASK} scale {SCALE}, {n} states",
+        _rates(n, legacy_s, columnar_s),
     )
     print(f"columnar speedup: {speedup:.1f}x")
+    print_table(
+        f"Materialization throughput: T3 scale {T3_SCALE}, {t3_n} states",
+        _rates(t3_n, t3_legacy_s, t3_columnar_s),
+    )
+    print(f"T3 columnar speedup: {t3_speedup:.1f}x")
+    t3_identical = _encodings_identical(t3)
 
     fast_front = _skyline(task, fast=True)
     legacy_front = _skyline(task, fast=False)
@@ -153,6 +212,16 @@ def test_columnar_materialization_speedup(benchmark):
             for key, value in space.cache_stats.items()
             if not isinstance(value, dict)
         },
+        "t3": {
+            "task": "T3",
+            "scale": T3_SCALE,
+            "n_states": t3_n,
+            "universal_rows": t3.space.universal.num_rows,
+            "legacy_valuations_per_s": t3_n / t3_legacy_s,
+            "columnar_valuations_per_s": t3_n / t3_columnar_s,
+            "speedup": t3_speedup,
+            "encodings_identical": t3_identical,
+        },
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUTPUT.resolve()}")
@@ -160,6 +229,7 @@ def test_columnar_materialization_speedup(benchmark):
     benchmark.extra_info.update(
         {"speedup": round(speedup, 2), "skyline_identical": identical}
     )
+    assert t3_identical, "T3 columnar (X, y) diverged from the legacy encoder"
     assert identical, (
         "fast-path skyline diverged from the Table path:\n"
         f"fast   = {fast_front}\nlegacy = {legacy_front}"

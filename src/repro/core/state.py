@@ -15,7 +15,7 @@ BiMODis' correlation pruning, and the level at which it was spawned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,9 +49,25 @@ def flip_bit(bits: int, index: int) -> int:
     return bits ^ (1 << index)
 
 
+def unpack_bitmaps(bits_list: Sequence[int], width: int) -> np.ndarray:
+    """Bitmaps as a ``(len(bits_list), width)`` uint8 0/1 matrix.
+
+    Row ``r`` column ``i`` is bit ``i`` of ``bits_list[r]``; bits at or
+    above ``width`` are ignored. One ``np.unpackbits`` over the
+    little-endian bytes of every bitmap, instead of a per-bit Python walk.
+    """
+    n_bytes = (width + 7) // 8
+    low = (1 << width) - 1
+    packed = np.frombuffer(
+        b"".join((bits & low).to_bytes(n_bytes, "little") for bits in bits_list),
+        dtype=np.uint8,
+    ).reshape(len(bits_list), n_bytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
 def bits_to_array(bits: int, width: int) -> np.ndarray:
     """Bitmap as a float 0/1 vector (estimator features, cosine distance)."""
-    return np.array([(bits >> i) & 1 for i in range(width)], dtype=float)
+    return unpack_bitmaps((bits,), width)[0].astype(float)
 
 
 def bits_from_labels(labels: set[str], all_labels: tuple[str, ...]) -> int:

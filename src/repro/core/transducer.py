@@ -26,14 +26,18 @@ row selection, needed wherever downstream code expects relational form
 :meth:`~TabularSearchSpace.materialize_matrix` is the valuation fast path:
 the universal table is encoded into a numpy
 :class:`~repro.relational.columns.ColumnStore` once, and every state is
-served as a :class:`~repro.relational.columns.MatrixView` — ``(X, y)`` by
-boolean-mask slicing, no intermediate Table, no per-call encoder fit. Row
-survival itself is vectorized: per-cluster membership rows are stacked into
-one 2-D bool matrix and reduced with ``np.add.reduceat`` /
-``logical_and.reduce`` instead of the old bit-by-bit Python walk, and one
-mask per bitmap is shared between ``materialize``, ``materialize_matrix``,
-``output_size`` and ``feature_vector`` through a small LRU. Both
-materializers memoize into byte-budgeted LRU caches (see ``cache_stats``).
+served as a :class:`~repro.relational.columns.MatrixView` — ``(X, y)`` from
+one gather of the state's rows, no intermediate Table, no per-call encoder
+fit. Row survival is one gather too. The domain clusters partition each
+attribute's active domain, so the space precomputes a ``(groups × n)``
+row→slot matrix in the smallest int dtype that fits: the entry id of the
+cluster holding each row's value, with nulls on an always-true slot. A
+bitmap's mask is its ``np.unpackbits`` vector, extended by that slot,
+gathered through the active attributes' slot rows and AND-reduced over
+them. One mask per bitmap is shared between ``materialize``,
+``materialize_matrix``, ``output_size`` and ``feature_vector`` through a
+small LRU. Both materializers memoize into byte-budgeted LRU caches (see
+``cache_stats``).
 """
 
 from __future__ import annotations
@@ -53,7 +57,14 @@ from ..graph.operators import EdgeCluster, augment_edges, cluster_edges
 from ..relational.columns import ColumnStore, MatrixView
 from ..relational.domain import DomainCluster, cluster_all_domains
 from ..relational.table import Table
-from .state import State, bits_to_array, flip_bit, iter_clear_bits, iter_set_bits
+from .state import (
+    State,
+    bits_to_array,
+    flip_bit,
+    iter_clear_bits,
+    iter_set_bits,
+    unpack_bitmaps,
+)
 
 Direction = TypingLiteral["forward", "backward"]
 
@@ -292,7 +303,8 @@ class TabularSearchSpace(SearchSpace):
         # (materialize, output_size, feature_vector, the cheap-cost proxy
         # all need one); share a single computation per bitmap here.
         self._mask_cache = _ByteBudgetLRU(8 << 20, 65536)
-        # Precompute row membership per cluster entry for fast materialization.
+        # Row membership per cluster entry: BackSt's densest cluster and the
+        # row→slot matrix below are read from it.
         self._row_members: dict[int, np.ndarray] = {}
         n = universal.num_rows
         for name, entry_ids in self._cluster_entries.items():
@@ -311,11 +323,12 @@ class TabularSearchSpace(SearchSpace):
             )
             for name in self._attr_entry
         }
-        # Stack the per-cluster membership rows into one 2-D bool matrix so
-        # row_mask reduces with numpy ops instead of a per-entry Python
-        # walk. Cluster entries of one attribute are contiguous in entry
-        # order (the layout interleaves each attribute bit with its own
-        # clusters), so attribute groups are reduceat segments.
+        # One row→slot matrix: row r of group g holds the entry id of the
+        # cluster containing r's value of the group's attribute. The domain
+        # clusters partition each active domain (cluster_domain gives every
+        # distinct value one label), so one slot per row is exact; a null
+        # maps to slot ``width`` (always allowed) and a value no cluster
+        # holds to ``width + 1`` (never allowed).
         grouped = [
             (name, entry_ids)
             for name, entry_ids in self._cluster_entries.items()
@@ -324,24 +337,14 @@ class TabularSearchSpace(SearchSpace):
         self._group_attr_ids = np.array(
             [self._attr_entry[name] for name, _ in grouped], dtype=np.int64
         )
-        self._cluster_entry_ids = np.array(
-            [e for _, entry_ids in grouped for e in entry_ids], dtype=np.int64
-        )
-        starts, offset = [], 0
-        for _, entry_ids in grouped:
-            starts.append(offset)
-            offset += len(entry_ids)
-        self._group_starts = np.array(starts, dtype=np.int64)
-        if grouped:
-            self._members_matrix = np.stack(
-                [self._row_members[e] for e in self._cluster_entry_ids]
-            )
-            self._group_null_matrix = np.stack(
-                [self._null_mask[name] for name, _ in grouped]
-            )
-        else:
-            self._members_matrix = np.zeros((0, n), dtype=bool)
-            self._group_null_matrix = np.zeros((0, n), dtype=bool)
+        slot_dtype = np.min_scalar_type(self.width + 1)
+        self._slots = np.empty((len(grouped), n), dtype=slot_dtype)
+        for g, (name, entry_ids) in enumerate(grouped):
+            slots = self._slots[g]
+            slots.fill(self.width + 1)
+            slots[self._null_mask[name]] = self.width
+            for entry_id in entry_ids:
+                slots[self._row_members[entry_id]] = entry_id
         # Columnar fast path: built lazily on first materialize_matrix call
         # (pure-Table workloads never pay the one-time encode).
         self._column_store: ColumnStore | None = None
@@ -369,38 +372,25 @@ class TabularSearchSpace(SearchSpace):
     def row_mask(self, bits: int) -> np.ndarray:
         """Boolean survival mask over universal-table rows for a bitmap.
 
-        Vectorized: active-cluster membership rows are selected from the
-        precomputed stacked matrix, OR-reduced per attribute group with
-        ``np.add.reduceat``, widened by the attribute's null mask (a null
-        never violates a domain constraint), and AND-reduced over the
-        active attributes. One mask per bitmap is memoized and shared by
-        ``materialize`` / ``materialize_matrix`` / ``output_size`` /
-        ``feature_vector``; callers must not mutate the returned array.
+        One gather: the bitmap is unpacked into an entry-indexed bool
+        vector, extended by the always-true null slot and the never-true
+        unclustered slot, indexed by the active attributes' row→slot rows
+        and AND-reduced over them. One mask per bitmap is memoized and
+        shared by ``materialize`` / ``materialize_matrix`` /
+        ``output_size`` / ``feature_vector``; callers must not mutate the
+        returned array.
         """
         cached = self._mask_cache.get(bits)
         if cached is not None:
             return cached
-        n = self.universal.num_rows
-        if self._group_starts.size == 0:
-            keep = np.ones(n, dtype=bool)
+        ext = np.zeros(self.width + 2, dtype=bool)
+        ext[: self.width] = unpack_bitmaps((bits,), self.width)[0]
+        active_attr = ext[self._group_attr_ids]
+        if not active_attr.any():
+            keep = np.ones(self.universal.num_rows, dtype=bool)
         else:
-            active_cluster = (
-                np.array(
-                    [(bits >> int(e)) & 1 for e in self._cluster_entry_ids],
-                    dtype=bool,
-                )
-            )
-            active_attr = np.array(
-                [(bits >> int(a)) & 1 for a in self._group_attr_ids],
-                dtype=bool,
-            )
-            if not active_attr.any():
-                keep = np.ones(n, dtype=bool)
-            else:
-                masked = self._members_matrix & active_cluster[:, None]
-                covered = np.add.reduceat(masked, self._group_starts, axis=0)
-                allowed = covered | self._group_null_matrix
-                keep = np.logical_and.reduce(allowed[active_attr], axis=0)
+            ext[self.width] = True
+            keep = ext.take(self._slots[active_attr]).all(axis=0)
         keep.flags.writeable = False
         self._mask_cache.put(bits, keep)
         return keep
@@ -493,10 +483,7 @@ class TabularSearchSpace(SearchSpace):
         bits_list = list(bits_list)
         if not bits_list:
             return np.zeros((0, self.width + 2))
-        bitmap = np.array(
-            [[(bits >> i) & 1 for i in range(self.width)] for bits in bits_list],
-            dtype=float,
-        )
+        bitmap = unpack_bitmaps(bits_list, self.width).astype(float)
         n_rows = max(1, self.universal.num_rows)
         n_cols = max(1, self.universal.num_columns)
         stats = np.array(

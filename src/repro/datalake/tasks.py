@@ -27,6 +27,7 @@ for T1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -223,6 +224,15 @@ def make_tabular_oracle(
     :func:`repro.core.estimator.oracle_artifact` can route to it.
     """
 
+    @functools.lru_cache(maxsize=256)
+    def split(n: int) -> tuple[np.ndarray, np.ndarray]:
+        # A pure function of (n, test_fraction, split_seed): each row count
+        # draws its permutation once, and every state of that size shares it.
+        indices = split_indices(n, test_fraction, seed=split_seed)
+        for index in indices:
+            index.flags.writeable = False
+        return indices
+
     def oracle(artifact: Table | MatrixView) -> dict[str, float]:
         if isinstance(artifact, MatrixView):
             # num_rows/num_columns are the materialized-table shape, so
@@ -243,9 +253,7 @@ def make_tabular_oracle(
             return _degenerate_raw(measures)
         if task_kind == "classification" and len(np.unique(y)) < 2:
             return _degenerate_raw(measures)
-        train_idx, test_idx = split_indices(
-            X.shape[0], test_fraction, seed=split_seed
-        )
+        train_idx, test_idx = split(X.shape[0])
         X_train, X_test = X[train_idx], X[test_idx]
         y_train, y_test = y[train_idx], y[test_idx]
         if task_kind == "classification" and (

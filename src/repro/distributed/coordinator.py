@@ -46,9 +46,18 @@ def merge_skylines(
 ) -> list[State]:
     """Merge workers' local ε-skylines into one global skyline state list.
 
-    Dedupe by bitmap (shared-nothing workers can valuate the same state),
-    re-run UPareto over the union, then thin to the exact Pareto front —
-    the same finishing step every MODis algorithm applies.
+    Dedupe by bitmap (shared-nothing workers can valuate the same state;
+    the first shipped copy wins), re-run UPareto over the union in
+    descending bitmap order, then thin to the exact Pareto front — the same
+    finishing step every MODis algorithm applies.
+
+    The ε-grid keeps one representative per cell and breaks exact ties by
+    insertion order, so a fixed order makes the merged skyline a pure
+    function of the shipped *set*: worker order (``DistributedMODis``) and
+    shard order (sharded jobs) cannot change it. Descending bitmaps come
+    roughly in the order a forward search from ``s_U`` meets them (its
+    first reductions clear the lowest bits), so ties tend to resolve as in
+    one ApxMODis run over the whole space.
     """
     by_bits: dict[int, ShippedState] = {}
     for batch in shipped:
@@ -57,7 +66,7 @@ def merge_skylines(
     if not by_bits:
         return []
     grid = SkylineGrid(measures, epsilon)
-    for item in by_bits.values():
+    for _, item in sorted(by_bits.items(), reverse=True):
         state = State(bits=item.bits, perf=item.perf, via=item.via)
         grid.update(state)
     states = [s for s in grid.states if s.perf is not None]

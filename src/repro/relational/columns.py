@@ -10,20 +10,29 @@ dwarfs the actual model training on the small tables the search visits.
 :class:`ColumnStore` removes that overhead structurally. At build time each
 attribute of the universal table is converted exactly once into numpy form:
 
-* numeric attributes → a float64 column with ``NaN`` for nulls;
+* numeric attributes → one row of a C-contiguous ``(k, n)`` float64 block
+  (``NaN`` for nulls) with a matching ``(k, n)`` bool null block; each
+  column's ``raw``/``null`` arrays are row views into the two blocks;
 * categorical attributes → an int64 code column over the *universal*
   vocabulary (distinct non-null values sorted by ``repr``, matching
   ``TableEncoder``'s category ordering), with ``-1`` for nulls.
 
 :meth:`ColumnStore.encode_subset` then serves any state as a
-:class:`MatrixView` — the ``(X, y)`` pair plus the materialized shape — by
-boolean-mask slicing of those precomputed columns. The encoding semantics
-are *bit-identical* to fitting a fresh ``TableEncoder`` on the materialized
-sub-table (the legacy oracle path):
+:class:`MatrixView` — the ``(X, y)`` pair plus the materialized shape —
+written into one preallocated ``X``. The state's numeric features cost a
+few array operations, whatever their number: one gather of the fit rows
+(every materialized row) from both blocks, one ``np.add.reduce(...,
+axis=1)`` pass for the moments of the columns with no null among them,
+and one concatenation of the non-null values of the columns that have
+some. The encoding semantics are *bit-identical* to fitting a fresh
+``TableEncoder`` on the materialized sub-table (the legacy oracle path):
 
-* numeric mean/std (population, ddof=0) are computed over the subset's
-  non-null values in row order, so pairwise float summation matches
-  ``np.mean``/``np.std`` over the equivalent Python lists;
+* numeric mean/std (population, ddof=0) repeat numpy's own ``_mean`` /
+  ``_var`` steps — sum / n, then subtract, square, sum / n and sqrt — over
+  the subset's non-null values in row order. A block row is contiguous,
+  so its reduction takes the same pairwise summation as ``np.mean`` /
+  ``np.std`` over the equivalent 1-D Python list, and so does each
+  column's slice of the concatenation;
 * categorical codes are re-ranked to the subset's vocabulary (the rank of
   each universal code among the codes present in the subset), which equals
   ``sorted(set(values), key=repr)`` because the universal vocabulary is
@@ -35,8 +44,11 @@ sub-table (the legacy oracle path):
   as ``TableEncoder.fit`` sees the whole materialized table while
   ``transform`` drops null-target rows.
 
-The parity suite (``tests/unit/test_columns.py``) asserts this equality
-value-for-value across random bitmaps.
+The parity suites assert this equality value-for-value: across random
+bitmaps (``tests/unit/test_columns.py``) and across numpy's three summation
+regimes — fewer than 8, 8–128 and more than 128 values — with null-free,
+partly null and entirely null columns
+(``tests/property/test_encode_subset_properties.py``).
 
 **Universal binning.** The histogram models never look at float features —
 only at quantile-bin codes. Quantization is a pure per-column function, so
@@ -116,8 +128,8 @@ class MatrixView:
 @dataclass(slots=True)
 class _NumericColumn:
     name: str
-    raw: np.ndarray  # float64, NaN = null
-    null: np.ndarray  # bool
+    raw: np.ndarray  # float64, NaN = null; a row of ColumnStore._numeric
+    null: np.ndarray  # bool; a row of ColumnStore._numeric_null
 
 
 @dataclass(slots=True)
@@ -129,12 +141,13 @@ class _CategoricalColumn:
 
 
 class ColumnStore:
-    """Per-attribute encoded numpy columns + null masks for one table.
+    """One table's numeric block, categorical code columns and null masks.
 
     Fit once over the universal table at search-space build time; serves
-    every bitmap's ``(X, y)`` by masked slicing with per-subset statistics
-    recomputed vectorized (see the module docstring for why the results are
-    bit-identical to the legacy per-call ``TableEncoder`` fit).
+    every bitmap's ``(X, y)`` by gathering its rows with per-subset
+    statistics recomputed over whole blocks (see the module docstring for
+    why the results are bit-identical to the legacy per-call
+    ``TableEncoder`` fit).
     """
 
     def __init__(
@@ -155,6 +168,23 @@ class ColumnStore:
             column = self._encode_universal(table, attr.name, attr.is_numeric)
             self._columns[attr.name] = column
         self._target_numeric = table.schema[target].is_numeric
+        # The numeric columns as one C-contiguous (k, n) block (and its
+        # null mask), so a state's numeric features are one 2-D gather.
+        # Each column's ``raw``/``null`` become row views into the blocks.
+        numeric = [
+            col for col in self._columns.values()
+            if isinstance(col, _NumericColumn)
+        ]
+        self._numeric_row = {col.name: i for i, col in enumerate(numeric)}
+        self._numeric = np.array(
+            [col.raw for col in numeric], dtype=np.float64
+        ).reshape(len(numeric), self.n_rows)
+        self._numeric_null = np.array(
+            [col.null for col in numeric], dtype=bool
+        ).reshape(len(numeric), self.n_rows)
+        for i, col in enumerate(numeric):
+            col.raw = self._numeric[i]
+            col.null = self._numeric_null[i]
         # Universal bin codes + edges, built lazily on first binned request.
         self._binned_codes: dict[str, np.ndarray] | None = None
         self._binned_edges: dict[str, np.ndarray | None] = {}
@@ -185,10 +215,10 @@ class ColumnStore:
 
     @property
     def nbytes(self) -> int:
-        total = 0
+        total = int(self._numeric.nbytes + self._numeric_null.nbytes)
         for col in self._columns.values():
-            data = col.raw if isinstance(col, _NumericColumn) else col.codes
-            total += int(data.nbytes + col.null.nbytes)
+            if isinstance(col, _CategoricalColumn):
+                total += int(col.codes.nbytes + col.null.nbytes)
         if self._binned_codes is not None:
             total += sum(int(c.nbytes) for c in self._binned_codes.values())
         return total
@@ -259,22 +289,60 @@ class ColumnStore:
         return self._binned_rows(rows, attributes)
 
     # -- subset encoding -------------------------------------------------------
-    def _encode_numeric(
-        self, col: _NumericColumn, fit_mask: np.ndarray, rows: np.ndarray
+    def _encode_numeric_block(
+        self, block_rows: np.ndarray, fit_rows: np.ndarray, keep: np.ndarray
     ) -> np.ndarray:
-        """Mirror of the numeric ``_ColumnCodec``: subset mean imputation,
-        optional standardization with the subset's population std."""
-        vals = col.raw[fit_mask & ~col.null]
-        if vals.size:
-            mean = float(vals.mean())
-            std = float(vals.std())
-        else:
-            mean, std = 0.0, 1.0
-        scale = std if (self.standardize and std > 1e-12) else 1.0
-        center = mean if self.standardize else 0.0
-        out = col.raw[rows]
-        out = np.where(col.null[rows], mean, out)
-        return (out - center) / scale
+        """Mirror of the numeric ``_ColumnCodec`` for the numeric block's
+        rows ``block_rows`` at once: subset mean imputation, optional
+        standardization with the subset's population std. Returns the
+        encoded ``(len(block_rows), keep.sum())`` block, one row per column.
+
+        The fit rows are gathered once. Each column's mean and std repeat
+        numpy's own ``_mean``/``_var`` steps (sum / n, then subtract,
+        square, sum / n, sqrt) over exactly the values ``np.mean`` /
+        ``np.std`` see in the legacy path, so they are bit-identical:
+
+        * the columns with no null among the fit rows take their sums with
+          one ``np.add.reduce(..., axis=1)``: each block row is contiguous,
+          so it gets the same pairwise summation as a 1-D array;
+        * the columns with nulls are compressed into one concatenation of
+          their non-null values, and each sums its own contiguous slice.
+        """
+        block = self._numeric.take(block_rows, axis=0).take(fit_rows, axis=1)
+        null = self._numeric_null.take(block_rows, axis=0).take(fit_rows, axis=1)
+        n_fit = fit_rows.size
+        counts = n_fit - null.sum(axis=1)
+        mean = np.zeros(block_rows.size)
+        std = np.ones(block_rows.size)
+        full = counts == n_fit
+        if n_fit and full.any():
+            values = block[full]
+            mean[full] = means = np.add.reduce(values, axis=1) / n_fit
+            values -= means[:, None]
+            np.multiply(values, values, out=values)
+            std[full] = np.sqrt(np.add.reduce(values, axis=1) / n_fit)
+        partial = ~full & (counts > 0)
+        if partial.any():
+            counts = counts[partial]
+            values = block[partial][~null[partial]]
+            segments = [
+                slice(stop - count, stop)
+                for stop, count in zip(np.cumsum(counts).tolist(), counts.tolist())
+            ]
+            sums = np.array([np.add.reduce(values[seg]) for seg in segments])
+            mean[partial] = means = sums / counts
+            values -= np.repeat(means, counts)
+            np.multiply(values, values, out=values)
+            sums = np.array([np.add.reduce(values[seg]) for seg in segments])
+            std[partial] = np.sqrt(sums / counts)
+        if not keep.all():
+            block = block[:, keep]
+            null = null[:, keep]
+        out = np.where(null, mean[:, None], block)
+        if self.standardize:
+            out -= mean[:, None]
+            out /= np.where(std > 1e-12, std, 1.0)[:, None]
+        return out
 
     def _encode_categorical(
         self, col: _CategoricalColumn, fit_mask: np.ndarray, rows: np.ndarray
@@ -312,29 +380,40 @@ class ColumnStore:
         degenerate worst-case score).
         """
         row_mask = np.asarray(row_mask, dtype=bool)
-        n_materialized = int(row_mask.sum())
-        shape = (n_materialized, len(attributes) + 1)
+        fit_rows = np.flatnonzero(row_mask)
+        shape = (fit_rows.size, len(attributes) + 1)
         target_col = self._columns[self.target]
-        keep = row_mask & ~target_col.null
+        # Statistics are fit on every materialized row; (X, y) keep only
+        # the rows with a non-null target.
+        keep = ~target_col.null[fit_rows]
+        rows = fit_rows[keep]
         if self._target_numeric:
-            rows = np.flatnonzero(keep)
             y = target_col.raw[rows]
             target_classes = None
         else:
             # Subset-ranked target codes; the materialized table's fit sees
             # exactly the non-null target values, so present == vocabulary.
-            rows = np.flatnonzero(keep)
             fit_codes = target_col.codes[rows]
             present = np.unique(fit_codes)
             y = np.searchsorted(present, fit_codes).astype(np.float64)
             target_classes = tuple(
                 target_col.vocabulary[int(c)] for c in present
             )
-        columns = [
-            self._encode_column(name, row_mask, rows) for name in attributes
+        X = np.empty((rows.size, len(attributes)))
+        numeric = [
+            (j, self._numeric_row[name])
+            for j, name in enumerate(attributes)
+            if name in self._numeric_row
         ]
-        n = rows.size
-        X = np.column_stack(columns) if columns else np.zeros((n, 0))
+        if numeric:
+            positions, block_rows = (np.array(v) for v in zip(*numeric))
+            X[:, positions] = self._encode_numeric_block(
+                block_rows, fit_rows, keep
+            ).T
+        for j, name in enumerate(attributes):
+            col = self._columns[name]
+            if isinstance(col, _CategoricalColumn):
+                X[:, j] = self._encode_categorical(col, row_mask, rows)
         binned = self._binned_rows(rows, attributes) if include_binned else None
         return MatrixView(
             X=X,
@@ -345,11 +424,3 @@ class ColumnStore:
             target_classes=target_classes,
             binned=binned,
         )
-
-    def _encode_column(
-        self, name: str, fit_mask: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray:
-        col = self._columns[name]
-        if isinstance(col, _NumericColumn):
-            return self._encode_numeric(col, fit_mask, rows)
-        return self._encode_categorical(col, fit_mask, rows)

@@ -13,10 +13,10 @@ scheduler merges every shipped state through
 fresh UPareto grid → exact :func:`~repro.core.dominance.pareto_front`)
 into the parent's result.
 
-Determinism: before merging, the union of shipped states is sorted by
-bitmap. The ε-grid keeps one representative per cell and breaks exact
-ties by insertion order, so canonicalizing the order makes the merged
-skyline a pure function of the shipped *set* — a ``shards=4`` run whose
+Determinism: ``merge_skylines`` feeds the union of shipped states to the
+ε-grid in bitmap order. The grid keeps one representative per cell and
+breaks exact ties by insertion order, so canonicalizing the order makes the
+merged skyline a pure function of the shipped *set* — a ``shards=4`` run whose
 children exhaust their partitions merges bit-identically to the same
 submission with ``shards=1`` (the classic distributed-skyline identity,
 ``skyline(∪ᵢ skyline(Sᵢ)) = skyline(∪ᵢ Sᵢ)``).
@@ -137,7 +137,7 @@ def merge_shard_results(
 ) -> dict[str, Any]:
     """Fold every shard's local skyline into the parent's result payload.
 
-    The union is sorted by bitmap before the grid pass (see the module
+    The union enters the grid in bitmap order (see the module
     docstring), optionally re-scored against the true oracle by
     :func:`~repro.distributed.coordinator.verify_front` (defaults to the
     spec's ``verify`` flag), and rendered in the exact
@@ -149,16 +149,9 @@ def merge_shard_results(
     measures = task.measures
     if verify is None:
         verify = spec.verify
-    shipped = sorted(
-        (
-            state
-            for payload in shard_payloads
-            for state in _shipped_from_payload(payload)
-        ),
-        key=lambda state: state.bits,
-    )
+    shipped = [_shipped_from_payload(payload) for payload in shard_payloads]
     merge_start = time.perf_counter()
-    merged = merge_skylines([shipped], measures, spec.epsilon)
+    merged = merge_skylines(shipped, measures, spec.epsilon)
     if verify and merged and task.oracle is not None:
         merged = verify_front(merged, task.oracle, task.space, measures)
     # Entries are ordered by (performance, bitmap): skyline_entries'

@@ -3,8 +3,8 @@ implementations.
 
 Two invariants gate this PR's vectorizations:
 
-* ``TabularSearchSpace.row_mask`` (stacked bool matrix + reduceat) must
-  equal the original bit-by-bit Python walk on every bitmap;
+* ``TabularSearchSpace.row_mask`` (one gather through the row→slot
+  matrix) must equal the original bit-by-bit Python walk on every bitmap;
 * :func:`pareto_front` must equal the Kung divide-and-conquer
   :func:`pareto_front_reference` (``tests/reference/dominance.py``) on
   arbitrary inputs, including duplicated and tied rows.

@@ -195,6 +195,29 @@ class TestMerge:
     def test_merge_empty(self):
         assert merge_skylines([], two_measure_set(), epsilon=0.1) == []
 
+    def test_merge_ignores_worker_order(self):
+        """Two states share an ε-cell with a tied decisive measure, so the
+        grid keeps whichever it sees first. Worker order (bitmap 5 first)
+        and bitmap order (bitmap 3 first) must still merge identically."""
+        measures = two_measure_set()
+        worker_order = [
+            self._ship([(5, [0.300, 0.4]), (8, [0.9, 0.1])]),
+            self._ship([(3, [0.301, 0.4]), (5, [0.300, 0.4])]),
+        ]
+        bitmap_order = [
+            sorted(
+                (item for batch in worker_order for item in batch),
+                key=lambda item: item.bits,
+            )
+        ]
+
+        def skyline(shipped):
+            merged = merge_skylines(shipped, measures, epsilon=0.1)
+            return [(s.bits, s.perf.tolist()) for s in merged]
+
+        assert skyline(worker_order) == skyline(bitmap_order)
+        assert skyline(worker_order) == skyline(worker_order[::-1])
+
     def test_merged_members_mutually_nondominated(self):
         rng = np.random.default_rng(4)
         batches = [

@@ -12,6 +12,7 @@ from repro.core.state import (
     grid_position,
     iter_clear_bits,
     iter_set_bits,
+    unpack_bitmaps,
 )
 from repro.exceptions import SearchError
 
@@ -33,6 +34,24 @@ class TestBitOps:
 
     def test_bits_to_array(self):
         assert bits_to_array(0b101, 4).tolist() == [1.0, 0.0, 1.0, 0.0]
+
+    def test_bits_at_or_above_width_are_ignored(self):
+        assert bits_to_array(0b110101, 4).tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert bits_to_array(1 << 70, 9).tolist() == [0.0] * 9
+        assert bits_to_array(0b11, 0).shape == (0,)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 54, 65])
+    def test_unpack_bitmaps_matches_per_bit_walk(self, width):
+        rng = np.random.default_rng(width)
+        bitmaps = [0, (1 << width) - 1] + [
+            int(rng.integers(0, 2**62)) << int(rng.integers(0, 8))
+            for _ in range(20)
+        ]
+        expected = [[(b >> i) & 1 for i in range(width)] for b in bitmaps]
+        unpacked = unpack_bitmaps(bitmaps, width)
+        assert unpacked.shape == (len(bitmaps), width)
+        assert unpacked.tolist() == expected
+        assert unpack_bitmaps([], width).shape == (0, width)
 
     def test_bits_from_labels(self):
         labels = ("a", "b", "c")
