@@ -26,6 +26,7 @@ from ...obs import (
 )
 from ..config import Configuration
 from ..dominance import SkylineGrid, pareto_front
+from ..estimator import store_or_train
 from ..measures import MeasureSet
 from ..state import State
 from ..transducer import RunningGraph, SearchSpace, Transducer
@@ -223,15 +224,22 @@ class SkylineAlgorithm(abc.ABC):
             "front_size": len(self.grid.states),
         }
 
-    def _partial_entries(self) -> list[dict[str, Any]]:
-        """The current grid as JSON-ready partial-skyline entries.
+    def _partial_entries(
+        self, states: list[State] | None = None
+    ) -> list[dict[str, Any]]:
+        """``states`` (default: the grid's) as JSON-ready partial-skyline
+        entries.
 
         Unlike :meth:`_make_result`, the grid is *not* thinned and the
         perfs are estimates, not verified oracle values — partial results
         are progress telemetry, documented as such in the service API.
         """
-        states = [s for s in self.grid.states if s.perf is not None]
-        states.sort(key=lambda s: tuple(s.perf))
+        if states is None:
+            states = self.grid.states
+        states = sorted(
+            (s for s in states if s.perf is not None),
+            key=lambda s: tuple(s.perf),
+        )
         # Same entry shape as repro.report.entry_payload (minus the
         # materialization-only keys), so clients render partial and final
         # skylines with the same code.
@@ -244,17 +252,21 @@ class SkylineAlgorithm(abc.ABC):
             for s in states
         ]
 
-    def _emit_level_progress(self) -> None:
+    def _emit_level_progress(
+        self, states: list[State] | None = None, **counters: Any
+    ) -> None:
         """Publish progress counters + a refreshed partial skyline.
 
-        Called by subclasses at each level/generation boundary. Skips the
-        (comparatively expensive) snapshot assembly entirely when no
-        emitter is installed, so library use pays only this guard.
+        Called by subclasses at each level/generation boundary; ``states``
+        and ``counters`` override the grid's states and the default
+        counters. Skips the (comparatively expensive) snapshot assembly
+        entirely when no emitter is installed, so library use pays only
+        this guard.
         """
         if not events_enabled() or current_emitter() is None:
             return
-        emit("progress", **self._progress_counters())
-        emit_partial(self._partial_entries())
+        emit("progress", **{**self._progress_counters(), **counters})
+        emit_partial(self._partial_entries(states))
 
     # -- result assembly -----------------------------------------------------------
     def _make_result(self) -> DiscoveryResult:
@@ -293,35 +305,21 @@ class SkylineAlgorithm(abc.ABC):
         truth. Skipped when the configuration has no oracle or a target was
         already oracle-valuated.
         """
-        oracle = self.config.oracle
-        if oracle is None:
+        config = self.config
+        if config.oracle is None:
             return
-        from ..estimator import oracle_artifact
-
-        store = self.config.estimator.store
         calls = 0
         targets = self._verification_targets()
         with span("verify", n_targets=len(targets)) as verify_span:
             for state in targets:
-                record = store.get(state.bits)
-                if record is not None and record.source == "oracle":
-                    state.perf = record.perf
-                    continue
-                raw = oracle(
-                    oracle_artifact(self.config.space, oracle, state.bits)
+                state.perf, trained = store_or_train(
+                    config.estimator.store,
+                    config.measures,
+                    config.space,
+                    config.oracle,
+                    state.bits,
                 )
-                perf = self.config.measures.normalize_raw(raw)
-                state.perf = perf
-                calls += 1
-                from ..estimator import TestRecord
-
-                store.add(
-                    TestRecord(
-                        state.bits,
-                        self.config.space.feature_vector(state.bits),
-                        perf,
-                    )
-                )
+                calls += trained
             verify_span.set_attr(oracle_calls=calls)
         self.report.extras["verification_calls"] = calls
 

@@ -1,10 +1,9 @@
 """BiMODis — bi-directional search with correlation-based pruning (Alg. 2).
 
-Two frontiers advance level-by-level: a *forward* frontier from the
-universal state applying Reducts, and a *backward* frontier from the
-BackSt seed applying Augments. Both feed the same UPareto ε-grid. The
-search terminates when the frontiers meet (a path is formed), the budget N
-is exhausted, maxl levels are done, or both frontiers die out.
+BiMODis is ApxMODis's level-wise loop with two additions. A *backward*
+frontier from the BackSt seed ``s_b`` applies Augments while the forward
+frontier from ``s_U`` applies Reducts; both feed the same UPareto ε-grid,
+and the search also stops when the two frontiers meet (a path is formed).
 
 Pruning (Section 5.3 / Lemma 4): before valuating a spawned state, BiMODis
 partially valuates it with the configuration's *cheap oracle* (measures
@@ -20,14 +19,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...obs import span
 from ..config import Configuration
 from ..correlation import CorrelationGraph, infer_ranges
-from ..state import State
-from .base import SkylineAlgorithm
+from .apx import ApxMODis
+
+#: Pruning checks between refreshes of the correlation graph G_C.
+CORR_REFRESH = 8
 
 
-class BiMODis(SkylineAlgorithm):
+class BiMODis(ApxMODis):
     """Algorithm 2 (full version: Algorithm 4 in the appendix)."""
 
     name = "BiMODis"
@@ -40,12 +40,10 @@ class BiMODis(SkylineAlgorithm):
         max_level: int = 6,
         pruning: bool = True,
         theta: float = 0.8,
-        corr_refresh: int = 8,
     ):
         super().__init__(config, epsilon=epsilon, budget=budget, max_level=max_level)
         self.pruning = pruning
         self.theta = theta
-        self.corr_refresh = int(corr_refresh)
         self.corr = CorrelationGraph(config.measures, theta=theta)
         self._since_corr_update = 0
 
@@ -63,7 +61,7 @@ class BiMODis(SkylineAlgorithm):
         return known
 
     def _maybe_refresh_corr(self) -> None:
-        if self._since_corr_update >= self.corr_refresh or self._since_corr_update == 0:
+        if self._since_corr_update >= CORR_REFRESH or self._since_corr_update == 0:
             self.corr.update(self.config.estimator.store)
             self._since_corr_update = 1
         else:
@@ -97,83 +95,16 @@ class BiMODis(SkylineAlgorithm):
         return bool(np.any(np.all(anchor_matrix <= ceiling, axis=1)))
 
     # -- search -------------------------------------------------------------------
-    def _seed(self, bits: int, via: str) -> State:
-        state = State(bits=bits, level=0, via=via)
-        self.graph.add_state(state)
-        self._valuate(state)
-        self.grid.update(state)
-        return state
-
-    def _expand(
-        self,
-        frontier: list[State],
-        direction: str,
-        visited: set[int],
-    ) -> list[State]:
-        next_frontier: list[State] = []
-        for parent in frontier:
-            if self.budget_exhausted:
-                self.report.terminated_by = "budget"
-                return next_frontier
-            for child_bits, op in self.transducer.spawn(parent.bits, direction):
-                if child_bits in visited:
-                    continue
-                visited.add(child_bits)
-                self.report.n_spawned += 1
-                if self._can_prune(child_bits):
-                    self.report.n_pruned += 1
-                    continue
-                child = State(
-                    bits=child_bits,
-                    level=parent.level + 1,
-                    via=op,
-                    parent_bits=parent.bits,
-                )
-                self.graph.add_state(child)
-                self.graph.add_transition(parent.bits, child_bits, op)
-                self._valuate(child)
-                self.grid.update(child)
-                next_frontier.append(child)
-                if self.budget_exhausted:
-                    self.report.terminated_by = "budget"
-                    return next_frontier
-        return next_frontier
-
-    def _end_of_level(self, level: int) -> None:
-        """Hook for subclasses (DivMODis diversifies here)."""
+    def _seeds(self) -> dict[str, list[tuple[int, str]]]:
+        """Add the BackSt seed ``s_b`` as the backward frontier."""
+        seeds = super()._seeds()
+        bits = self.config.space.backward_bits()
+        universal = self.config.space.universal_bits
+        seeds["backward"] = [(bits, "s_b")] if bits != universal else []
+        return seeds
 
     def _search(self) -> None:
-        space = self.config.space
-        forward_seed = self._seed(space.universal_bits, "s_U")
-        backward_bits = space.backward_bits()
-        visited_f: set[int] = {forward_seed.bits}
-        visited_b: set[int] = set()
-        frontier_f = [forward_seed]
-        frontier_b: list[State] = []
-        if backward_bits != forward_seed.bits:
-            backward_seed = self._seed(backward_bits, "s_b")
-            visited_b.add(backward_bits)
-            frontier_b = [backward_seed]
-        for level in range(self.max_level):
-            if self.budget_exhausted:
-                self.report.terminated_by = "budget"
-                break
-            with span("level", level=level + 1) as level_span:
-                frontier_f = self._expand(frontier_f, "forward", visited_f)
-                frontier_b = self._expand(frontier_b, "backward", visited_b)
-                level_span.set_attr(
-                    frontier_forward=len(frontier_f),
-                    frontier_backward=len(frontier_b),
-                )
-            self.report.n_levels = level + 1
-            self._end_of_level(level)
-            self._emit_level_progress()
-            if visited_f & visited_b:
-                self.report.terminated_by = "frontiers_met"
-                break
-            if not frontier_f and not frontier_b:
-                self.report.terminated_by = "exhausted"
-                break
+        super()._search()
         self.report.extras["pruned"] = self.report.n_pruned
         self.report.extras["correlation_edges"] = self.corr.edges()
 

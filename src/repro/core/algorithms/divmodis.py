@@ -60,7 +60,4 @@ class DivMODis(BiMODis):
         for state in states:
             if state.bits not in kept_bits:
                 self.grid.remove(state)
-        self.report.extras["diversified_at_levels"] = (
-            self.report.extras.get("diversified_at_levels", [])
-        )
-        self.report.extras["diversified_at_levels"].append(level)
+        self.report.extras.setdefault("diversified_at_levels", []).append(level)

@@ -35,7 +35,6 @@ class ExactMODis(ApxMODis):
     def _admit(self, state: State) -> None:
         # The ε-grid only feeds live progress (partial skyline, front
         # size); the result is the exact front of every admitted state.
-        super()._admit(state)
         self._all_states.append(state)
 
     def _search(self) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from ...exceptions import SearchError
-from ...obs import current_emitter, emit, emit_partial, events_enabled
 from ...rng import make_rng
 from ..state import State
 from .base import SkylineAlgorithm
@@ -132,34 +131,6 @@ class NSGAIIMODis(SkylineAlgorithm):
                 bits ^= 1 << index
         return bits
 
-    def _emit_generation_progress(
-        self, generation: int, population: list[int], perfs: np.ndarray
-    ) -> None:
-        """Per-generation progress + partial front.
-
-        Unlike the MODis variants, the grid is only fed *after* the loop
-        (lines below), so the partial skyline is the current population's
-        first non-dominated front — an extra sort paid only when an
-        emitter is actually installed.
-        """
-        if not events_enabled() or current_emitter() is None:
-            return
-        front = non_dominated_sort(perfs)[0] if len(population) else []
-        counters = self._progress_counters()
-        counters["generation"] = generation
-        counters["front_size"] = len(front)
-        emit("progress", **counters)
-        emit_partial(
-            [
-                {
-                    "description": "nsga2",
-                    "bits": hex(population[i]),
-                    "performance": self.config.measures.as_dict(perfs[i]),
-                }
-                for i in sorted(front, key=lambda i: tuple(perfs[i]))
-            ]
-        )
-
     def _evaluate(self, population: list[int]) -> np.ndarray:
         """Valuate a whole generation in one batched estimator call."""
         states = [State(bits=bits, via="nsga2") for bits in population]
@@ -179,12 +150,12 @@ class NSGAIIMODis(SkylineAlgorithm):
                 population.append(bits)
                 seen.add(bits)
         perfs = self._evaluate(population)
+        fronts = non_dominated_sort(perfs)
         for generation in range(self.generations):
             if self.budget_exhausted:
                 self.report.terminated_by = "budget"
                 break
             self.report.n_levels = generation + 1
-            fronts = non_dominated_sort(perfs)
             rank = {}
             for r, front in enumerate(fronts):
                 for i in front:
@@ -214,9 +185,8 @@ class NSGAIIMODis(SkylineAlgorithm):
             merged = population + offspring
             merged_perfs = np.vstack([perfs, offspring_perfs])
             # elitist survival: fill from the best fronts, crowding-sorted
-            fronts = non_dominated_sort(merged_perfs)
             survivors: list[int] = []
-            for front in fronts:
+            for front in non_dominated_sort(merged_perfs):
                 if len(survivors) + len(front) <= self.population_size:
                     survivors.extend(front)
                 else:
@@ -228,9 +198,18 @@ class NSGAIIMODis(SkylineAlgorithm):
                     break
             population = [merged[i] for i in survivors]
             perfs = merged_perfs[survivors]
-            self._emit_generation_progress(generation + 1, population, perfs)
+            fronts = non_dominated_sort(perfs)
+            # The grid is only fed after the loop, so the partial skyline
+            # is the population's first non-dominated front.
+            self._emit_level_progress(
+                [
+                    State(bits=population[i], via="nsga2", perf=perfs[i])
+                    for i in fronts[0]
+                ],
+                generation=generation + 1,
+                front_size=len(fronts[0]),
+            )
         # feed the final population's non-dominated front into the grid
-        fronts = non_dominated_sort(perfs)
         for i in fronts[0]:
             state = State(bits=population[i], via="nsga2", perf=perfs[i])
             self.grid.update(state)

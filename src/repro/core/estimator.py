@@ -193,6 +193,27 @@ class TestStore:
         return np.stack([r.features for r in self._records.values()])
 
 
+def store_or_train(
+    store: TestStore,
+    measures: MeasureSet,
+    space: SearchSpace,
+    oracle: PerformanceOracle,
+    bits: int,
+) -> tuple[np.ndarray, bool]:
+    """Ground truth for ``bits``: T's oracle record, else one real training.
+
+    A training result is normalized and recorded in ``store`` (upgrading a
+    surrogate record in place). Returns ``(perf, trained)`` so callers
+    count oracle calls on their own ledger.
+    """
+    record = store.get(bits)
+    if record is not None and record.source == "oracle":
+        return record.perf, False
+    perf = measures.normalize_raw(oracle(oracle_artifact(space, oracle, bits)))
+    store.add(TestRecord(bits, space.feature_vector(bits), perf))
+    return perf, True
+
+
 class Estimator(abc.ABC):
     """Valuates a state bitmap into a normalized |P|-vector."""
 
@@ -275,10 +296,10 @@ class OracleEstimator(Estimator):
         self.oracle = oracle
 
     def _valuate_new(self, bits: int, space: SearchSpace) -> np.ndarray:
-        raw = self.oracle(oracle_artifact(space, self.oracle, bits))
-        perf = self.measures.normalize_raw(raw)
-        self.oracle_calls += 1
-        self.store.add(TestRecord(bits, space.feature_vector(bits), perf))
+        perf, trained = store_or_train(
+            self.store, self.measures, space, self.oracle, bits
+        )
+        self.oracle_calls += trained
         return perf
 
 
@@ -369,13 +390,10 @@ class MOGBEstimator(Estimator):
         Surrogate-estimated records are upgraded to oracle truth in place,
         which also improves subsequent surrogate refits.
         """
-        existing = self.store.get(bits)
-        if existing is not None and existing.source == "oracle":
-            return existing.perf
-        raw = self.oracle(oracle_artifact(space, self.oracle, bits))
-        perf = self.measures.normalize_raw(raw)
-        self.oracle_calls += 1
-        self.store.add(TestRecord(bits, space.feature_vector(bits), perf))
+        perf, trained = store_or_train(
+            self.store, self.measures, space, self.oracle, bits
+        )
+        self.oracle_calls += trained
         return perf
 
     # -- surrogate ----------------------------------------------------------------

@@ -39,10 +39,10 @@ class _WorkerApxMODis(ApxMODis):
         super().__init__(config, **kwargs)
         self.seeds = list(seeds)
 
-    def _children(self, parent: State) -> Iterable[tuple[int, str]]:
+    def _children(self, parent: State, direction: str) -> Iterable[tuple[int, str]]:
         if parent.level == 0:
             return self.seeds
-        return super()._children(parent)
+        return super()._children(parent, direction)
 
 
 @dataclass(slots=True)

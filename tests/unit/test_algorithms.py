@@ -17,6 +17,7 @@ from repro.core.config import Configuration
 from repro.core.dominance import dominates, epsilon_dominates
 from repro.core.estimator import OracleEstimator
 from repro.exceptions import SearchError
+from repro.obs import SpanCollector, use_collector
 
 from tests.helpers import ToySpace, linear_toy_oracle, two_measure_set
 
@@ -29,6 +30,67 @@ def make_config(width=6, upper=1.0):
     return Configuration(
         space=space, measures=measures, estimator=estimator, oracle=oracle
     )
+
+
+# (algorithm, budget, maxl, terminated_by,
+#  (n_valuated, n_spawned, n_pruned, n_levels), level spans, skyline bits)
+TERMINATION_CASES = [
+    (ApxMODis, 1, 3, "budget", (1, 0, 0, 0), 0, [0x3f]),
+    (ApxMODis, 5, 3, "budget", (5, 4, 0, 1), 1, [0x37, 0x3f]),
+    (ApxMODis, 500, 2, "exhausted", (22, 21, 0, 2), 2, [0xf, 0x1f, 0x3f]),
+    (ApxMODis, 500, 10, "exhausted", (64, 63, 0, 7), 7,
+     [0x0, 0x1, 0x3, 0x7, 0xf, 0x1f, 0x3f]),
+    (BiMODis, 1, 3, "budget", (2, 0, 0, 0), 0, [0x1, 0x3f]),
+    (BiMODis, 5, 3, "budget", (5, 3, 0, 1), 1, [0x1, 0x3d, 0x3f]),
+    (BiMODis, 500, 2, "exhausted", (38, 36, 0, 2), 2,
+     [0x1, 0x3, 0x7, 0xf, 0x1f, 0x3f]),
+    (BiMODis, 500, 10, "frontiers_met", (48, 66, 0, 3), 3,
+     [0x1, 0x3, 0x7, 0xf, 0x1f, 0x3f]),
+    (NOBiMODis, 1, 3, "budget", (2, 0, 0, 0), 0, [0x1, 0x3f]),
+    (NOBiMODis, 5, 3, "budget", (5, 3, 0, 1), 1, [0x1, 0x3d, 0x3f]),
+    (NOBiMODis, 500, 2, "exhausted", (38, 36, 0, 2), 2,
+     [0x1, 0x3, 0x7, 0xf, 0x1f, 0x3f]),
+    (NOBiMODis, 500, 10, "frontiers_met", (48, 66, 0, 3), 3,
+     [0x1, 0x3, 0x7, 0xf, 0x1f, 0x3f]),
+    (DivMODis, 1, 3, "budget", (2, 0, 0, 0), 0, [0x1, 0x3f]),
+    (DivMODis, 5, 3, "budget", (5, 3, 0, 1), 1, [0x1, 0x3d, 0x3f]),
+    (DivMODis, 500, 2, "exhausted", (38, 36, 0, 2), 2,
+     [0x1, 0x3, 0x3a, 0x3d, 0x3f]),
+    (DivMODis, 500, 10, "frontiers_met", (48, 66, 0, 3), 3,
+     [0x1, 0x3, 0xe, 0x3d, 0x3f]),
+    (ExactMODis, 1, 3, "budget", (1, 0, 0, 0), 0, [0x3f]),
+    (ExactMODis, 5, 3, "budget", (5, 4, 0, 1), 1, [0x37, 0x3f]),
+    (ExactMODis, 500, 2, "exhausted", (22, 21, 0, 2), 2, [0xf, 0x1f, 0x3f]),
+    (ExactMODis, 500, 10, "exhausted", (64, 63, 0, 7), 7,
+     [0x0, 0x1, 0x3, 0x7, 0xf, 0x1f, 0x3f]),
+]
+
+
+@pytest.mark.parametrize(
+    "algorithm, budget, max_level, terminated_by, counts, n_level_spans, bits",
+    TERMINATION_CASES,
+    ids=[f"{c[0].__name__}-N{c[1]}-maxl{c[2]}" for c in TERMINATION_CASES],
+)
+def test_level_loop_termination(
+    algorithm, budget, max_level, terminated_by, counts, n_level_spans, bits
+):
+    """Every level-wise variant stops for the same reason, after the same
+    work, with the same skyline: budget, exhausted levels/frontiers, and
+    (bi-directional only) frontiers meeting."""
+    collector = SpanCollector()
+    with use_collector(collector):
+        result = algorithm(make_config(), budget=budget, max_level=max_level).run()
+    report = result.report
+    assert report.terminated_by == terminated_by
+    assert (
+        report.n_valuated, report.n_spawned, report.n_pruned, report.n_levels
+    ) == counts
+    levels = [s for s in collector.spans if s["name"] == "level"]
+    assert len(levels) == n_level_spans
+    assert [s["attrs"]["level"] for s in levels] == list(
+        range(1, n_level_spans + 1)
+    )
+    assert sorted(entry.bits for entry in result.entries) == bits
 
 
 class TestApxMODis:
